@@ -16,7 +16,6 @@ def main():
     parser.add_argument("--length", type=int, default=10)
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--kmax", type=int, default=40)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--outdir", default="runs")
     args = parser.parse_args()
@@ -30,7 +29,7 @@ def main():
         "experiment",
         "--rank", str(args.rank), "--length", str(args.length),
         "--trials", str(args.trials), "--seed", str(args.seed),
-        "--kmax", str(args.kmax), "--jobs", str(args.jobs),
+        "--jobs", str(args.jobs),
         "--out", str(tsv),
     ])
     meta.write_text(json.dumps(vars(args), indent=1, sort_keys=True) + "\n")

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, StructuralError
-from .folding import controlled_inverse, factorize
+from .folding import (
+    FoldFactorization, InverseStats, controlled_inverse, factorize,
+)
 from .graph import (
     make_graph, pi1_generators, pi1_word, rank, spanning_tree, tree_path,
 )
@@ -20,8 +22,9 @@ from .graph_map import (
     GraphMap, apply_path, compose, direction_map, make_graph_map,
     tighten_map, transition_matrix,
 )
+from .spectra import ExpansionSpectrum, gamma_hat, spectrum_report
 from .words import (
-    cyclic_length, cyclic_reduce, generates_free_group,
+    cyclic_reduce, generates_free_group,
     invert_automorphism_words, reduce_word, simultaneous_conjugator,
     substitute_reduced,
 )
@@ -31,7 +34,7 @@ __all__ = [
     "rose_graph", "rose_representative", "read_automorphism", "is_inner",
     "check_train_track", "stable_gates", "word_growth_rate",
     "random_automorphism", "nielsen_inverse", "fold_inverse",
-    "expansion_report", "normalize_outer",
+    "expansion_pair", "ExpansionPair", "expansion_report", "normalize_outer",
 ]
 
 GROWTH_LENGTH_CAP = 10 ** 6
@@ -344,15 +347,18 @@ def word_growth_rate(aut, seeds=None, k_max=40, length_cap=GROWTH_LENGTH_CAP):
             logs.append(math.log(vec.sum()))
         for _ in range(k_max - len(logs)):
             if vec is None:
-                w = aut(w)
-                n = cyclic_length(w)
+                # phi(u c u^-1) is conjugate to phi(c), so iterating on the
+                # cyclic reduction keeps every cyclic length and stops a
+                # growing conjugator from filling memory.
+                w = cyclic_reduce(aut(w))
+                n = len(w)
                 if n == 0:
                     logs = []
                     break
                 logs.append(math.log(n))
                 if n > length_cap:
                     vec = np.zeros(aut.rank)
-                    for a in cyclic_reduce(w):
+                    for a in w:
                         vec[abs(a) - 1] += 1
             else:
                 vec = m @ vec
@@ -425,60 +431,86 @@ def fold_inverse(aut):
 
     Returns (inverse automorphism, factorization, stats).
     """
-    f = tighten_map(rose_representative(aut))
+    return _fold_inverse_of(tighten_map(rose_representative(aut)))
+
+
+def _fold_inverse_of(f):
     fact = factorize(f)
     g, stats = controlled_inverse(fact, with_stats=True)
-    inv = read_automorphism(g)
-    return inv, fact, stats
+    return read_automorphism(g), fact, stats
+
+
+@dataclass(frozen=True)
+class ExpansionPair:
+    """lambda(phi) and mu = lambda(phi^-1) with what they were read from:
+    Gamma-hat of the tightened rose maps of phi and of its controlled
+    inverse.  A side whose map fails check_train_track reports an upper
+    bound, not the expansion factor."""
+
+    phi: Automorphism                  # normal form of the input
+    inverse: Automorphism              # controlled inverse, normal form
+    factorization: FoldFactorization   # of the rose map of phi
+    inverse_stats: InverseStats
+    spectrum: ExpansionSpectrum        # Gamma-hat of phi
+    inverse_spectrum: ExpansionSpectrum
+    certified: bool
+    inverse_certified: bool
+
+    @property
+    def lam(self):
+        return self.spectrum.top()
+
+    @property
+    def mu(self):
+        return self.inverse_spectrum.top()
+
+    @property
+    def ratio(self):
+        """log lambda / log mu, or None when a side has no EG stratum."""
+        if self.lam is None or self.mu is None:
+            return None
+        return math.log(self.lam) / math.log(self.mu)
+
+
+def expansion_pair(aut):
+    """lambda and mu of the outer class of aut, computed once: its normal
+    form, the tightened rose map f, the controlled inverse from the fold
+    factorization of f, and Gamma-hat with the train-track check on both
+    rose maps."""
+    phi = normalize_outer(aut)
+    f = tighten_map(rose_representative(phi))
+    inv, fact, stats = _fold_inverse_of(f)
+    fi = tighten_map(rose_representative(inv))
+    return ExpansionPair(phi, inv, fact, stats, gamma_hat(f), gamma_hat(fi),
+                         check_train_track(f), check_train_track(fi))
 
 
 def expansion_report(aut, k_max=40):
     """Forward and inverse expansion data: spectra with certification flags,
     word-growth cross-estimates, and the log-ratio of the top values."""
-    from .spectra import gamma_hat, spectrum_report
-
-    phi = normalize_outer(aut)
-    f = tighten_map(rose_representative(phi))
-    fwd_hat = gamma_hat(f)
-    fwd_cert = check_train_track(f)
-    inv, fact, stats = fold_inverse(phi)
-    fi = tighten_map(rose_representative(inv))
-    inv_hat = gamma_hat(fi)
-    inv_cert = check_train_track(fi)
-    lam = fwd_hat.top()
-    mu = inv_hat.top()
-    ratio = None
-    if lam is not None and mu is not None:
-        ratio = math.log(lam) / math.log(mu)
-    growth_fwd = word_growth_rate(phi, k_max=k_max)
-    growth_inv = word_growth_rate(inv, k_max=k_max)
-    paired = _spectra_paired(f, fi)
-    report = {
-        "automorphism": format_automorphism(phi),
-        "inverse": format_automorphism(inv),
-        "lambda": lam,
-        "mu": mu,
-        "ratio": ratio,
-        "lambda_certified": fwd_cert,
-        "mu_certified": inv_cert,
-        "gamma_hat_forward": fwd_hat.values(),
-        "gamma_hat_inverse": inv_hat.values(),
-        "growth_estimates": {"forward": growth_fwd, "inverse": growth_inv},
-        "fold_count": fact.fold_count,
-        "inverse_lc": stats.lc,
-        "lc_product_bound_ok": stats.within_bound,
-        "strata_paired": paired,
-        "forward_report": spectrum_report(f, certified=fwd_cert),
-        "inverse_report": spectrum_report(fi, certified=inv_cert),
+    pair = expansion_pair(aut)
+    return {
+        "automorphism": format_automorphism(pair.phi),
+        "inverse": format_automorphism(pair.inverse),
+        "lambda": pair.lam,
+        "mu": pair.mu,
+        "ratio": pair.ratio,
+        "lambda_certified": pair.certified,
+        "mu_certified": pair.inverse_certified,
+        "gamma_hat_forward": pair.spectrum.values(),
+        "gamma_hat_inverse": pair.inverse_spectrum.values(),
+        "growth_estimates": {
+            "forward": word_growth_rate(pair.phi, k_max=k_max),
+            "inverse": word_growth_rate(pair.inverse, k_max=k_max),
+        },
+        "fold_count": pair.factorization.fold_count,
+        "inverse_lc": pair.inverse_stats.lc,
+        "lc_product_bound_ok": pair.inverse_stats.within_bound,
+        # strata pair only when both maps share the invariant filtration
+        "strata_paired":
+            pair.spectrum.filtration == pair.inverse_spectrum.filtration,
+        "forward_report": spectrum_report(pair.spectrum,
+                                          certified=pair.certified),
+        "inverse_report": spectrum_report(pair.inverse_spectrum,
+                                          certified=pair.inverse_certified),
     }
-    return report
-
-
-def _spectra_paired(f, fi):
-    """Strata pair only when both representatives share the invariant
-    filtration edge partition (same blocks in the same order)."""
-    from .spectra import maximal_invariant_filtration
-
-    bf, _, _ = maximal_invariant_filtration(f)
-    bi, _, _ = maximal_invariant_filtration(fi)
-    return [sorted(b) for b in bf] == [sorted(b) for b in bi]

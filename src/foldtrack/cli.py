@@ -16,9 +16,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .automorphisms import (
-    check_train_track, expansion_report, fold_inverse, format_automorphism,
-    normalize_outer, parse_automorphism, random_automorphism,
-    rose_representative,
+    check_train_track, expansion_pair, expansion_report, fold_inverse,
+    format_automorphism, normalize_outer, parse_automorphism,
+    random_automorphism, rose_representative,
 )
 from .errors import CapacityError, CertificationError, FoldtrackError, StructuralError
 from .folding import factorize, controlled_inverse
@@ -65,7 +65,7 @@ def _emit_json(data, out=None):
 def cmd_spectrum(args):
     aut = parse_automorphism(args.automorphism)
     f = tighten_map(rose_representative(normalize_outer(aut)))
-    report = spectrum_report(f, certified=check_train_track(f))
+    report = spectrum_report(gamma_hat(f), certified=check_train_track(f))
     _emit_json(report, args.out)
     return EXIT_OK
 
@@ -123,32 +123,21 @@ def cmd_ratio(args):
 
 
 def _experiment_trial(params):
-    seed, trial, rank, length, kmax = params
+    seed, trial, rank, length = params
     rng = np.random.default_rng(np.random.Philox(key=seed, counter=[0, 0, 0, trial]))
     aut = random_automorphism(rank, length, rng)
     text = format_automorphism(aut)
     try:
-        phi = normalize_outer(aut)
-        f = tighten_map(rose_representative(phi))
-        lam_spec = gamma_hat(f)
-        lam = lam_spec.top()
-        cert_f = check_train_track(f)
-        inv, fact, _ = fold_inverse(phi)
-        fi = tighten_map(rose_representative(inv))
-        mu_spec = gamma_hat(fi)
-        mu = mu_spec.top()
-        cert_i = check_train_track(fi)
-        ratio = None
-        if lam is not None and mu is not None:
-            ratio = float(np.log(lam) / np.log(mu))
-        return (trial, text, lam, mu, ratio, fact.fold_count,
-                bool(cert_f and cert_i), None)
+        pair = expansion_pair(aut)
     except FoldtrackError as exc:
         return (trial, text, None, None, None, None, None, str(exc))
+    return (trial, text, pair.lam, pair.mu, pair.ratio,
+            pair.factorization.fold_count,
+            pair.certified and pair.inverse_certified, None)
 
 
 def cmd_experiment(args):
-    params = [(args.seed, t, args.rank, args.length, args.kmax)
+    params = [(args.seed, t, args.rank, args.length)
               for t in range(args.trials)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -272,7 +261,6 @@ def build_parser():
     p.add_argument("--length", type=int, default=10)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kmax", type=int, default=40)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_experiment)

@@ -19,18 +19,17 @@ import numpy as np
 
 from .errors import CertificationError, StructuralError
 from .graph import (
-    Graph, rank, reverse_path, subgraph_closure, subgraph_components,
-    subgraph_rank, frontier,
+    Graph, rank, reverse_path, subgraph_components, subgraph_rank, frontier,
 )
 from .graph_map import (
-    GraphMap, apply_path, compose, direction_map, edgelet_count, gate_count,
+    GraphMap, apply_path, compose, direction_map, edgelet_count,
     identity_map, is_tight, tighten_map, transition_matrix,
 )
 from .words import max_common_prefix, reduce_word
 
 __all__ = [
     "FoldSpec", "FoldRecord", "FoldFactorization", "find_fold", "apply_fold",
-    "apply_fold_move", "fold_move", "classify_fold", "invert_fold",
+    "apply_fold_move", "fold_move", "invert_fold",
     "invert_homeomorphism",
     "is_homeomorphism", "factorize", "controlled_inverse",
     "folds_into_lower_strata", "certify_homotopy_equivalence",
@@ -61,8 +60,6 @@ class FoldSpec:
     full1: bool
     full2: bool
     case: int
-    b: int = None
-    a: int = None
     flags: tuple = ()
 
 
@@ -72,7 +69,6 @@ class FoldRecord:
     case: int
     quotient: GraphMap        # p : G -> G*
     inverse: GraphMap         # q : G* -> G
-    pushed_filtration: tuple  # levels on G*, or None
     flags: tuple = ()
 
     @property
@@ -87,7 +83,6 @@ class FoldFactorization:
     records: tuple            # FoldRecord per fold, in application order
     theta: GraphMap           # terminal homeomorphism K^k -> G'
     theta_inverse: GraphMap   # its explicit inverse
-    stage_maps: tuple         # induced maps P_i : K^i -> G', P_0 = f
 
     @property
     def fold_count(self):
@@ -98,10 +93,9 @@ class FoldFactorization:
 # fold detection
 # ---------------------------------------------------------------------------
 
-def find_fold(f, prefer_lower_strata=False, j=None):
+def find_fold(f):
     """Deterministic fold candidate for a tightened map, or None when f is an
-    immersion.  With prefer_lower_strata, candidates pairing a stratum-j
-    direction with a G_{j-1} direction whose image starts below level j win.
+    immersion.
 
     Case-3 candidates whose identified vertex carries a loop are deferred:
     their explicit inverses would cross the connecting path twice, spoiling
@@ -110,34 +104,9 @@ def find_fold(f, prefer_lower_strata=False, j=None):
     """
     if not is_tight(f):
         raise StructuralError("find_fold requires a tightened map")
-    df = direction_map(f)
-    links = f.domain.links()
-    g = f.domain
-
-    def candidates():
-        for v in range(g.num_vertices):
-            by_image = {}
-            for d in sorted(links[v]):
-                if d in df:
-                    by_image.setdefault(df[d], []).append(d)
-            pairs = []
-            for ds in by_image.values():
-                for i in range(len(ds)):
-                    for k in range(i + 1, len(ds)):
-                        pairs.append((ds[i], ds[k]))
-            for da, db in sorted(pairs):
-                yield v, da, db
-
-    if prefer_lower_strata and j is not None and g.filtration is not None:
-        hcod = f.codomain
-        for v, da, db in candidates():
-            for hi, lo in ((da, db), (db, da)):
-                if g.level_of(abs(hi)) == j and g.level_of(abs(lo)) < j \
-                        and hcod.level_of(abs(df[hi])) < j:
-                    return _normalize_spec(f, v, da, db, b=j, a=j)
     fallback = None
-    for v, da, db in candidates():
-        spec = _normalize_spec(f, v, da, db, b=None, a=None)
+    for v, da, db in sorted(_fold_candidates(f)):
+        spec = _normalize_spec(f, v, da, db)
         if "case3-loop-at-v1" in spec.flags:
             if fallback is None:
                 fallback = spec
@@ -146,8 +115,26 @@ def find_fold(f, prefer_lower_strata=False, j=None):
     return fallback
 
 
-def _normalize_spec(f, v, da, db, b=None, a=None):
-    """Case classification plus the F4-F6 relabelling of (e1, e2)."""
+def _fold_candidates(f):
+    """(vertex, d, d') for every pair of directions at a vertex whose images
+    start with the same direction."""
+    df = direction_map(f)
+    links = f.domain.links()
+    out = []
+    for v in range(f.domain.num_vertices):
+        by_image = {}
+        for d in sorted(links[v]):
+            if d in df:
+                by_image.setdefault(df[d], []).append(d)
+        for ds in by_image.values():
+            for i in range(len(ds)):
+                for k in range(i + 1, len(ds)):
+                    out.append((v, ds[i], ds[k]))
+    return out
+
+
+def _normalize_spec(f, v, da, db):
+    """Case classification and labelling of (e1, e2)."""
     pa, pb = f.image(da), f.image(db)
     c = max_common_prefix(pa, pb)
     if c == 0:
@@ -171,21 +158,6 @@ def _normalize_spec(f, v, da, db, b=None, a=None):
         d1, d2 = sorted((da, db))
         if dirty(d1) and not dirty(d2):
             d1, d2 = d2, d1
-        if a is not None and g.filtration is not None:
-            below = g.filtration[a - 2] if a >= 2 else frozenset()
-            vbelow, _ = subgraph_closure(g, below)
-            t_a, t_b = g.term(da), g.term(db)
-            if t_a in vbelow and t_b not in vbelow:
-                d1, d2 = db, da
-            elif t_b in vbelow and t_a not in vbelow:
-                d1, d2 = da, db
-            elif t_a in vbelow and t_b in vbelow:
-                flags.append("F6-terminal-in-lower")
-            if b is not None:
-                fr = frontier(g, b, a)
-                if g.term(d1) in fr and not (
-                        g.term(d2) in fr or g.term(d2) in vbelow):
-                    flags.append("F6-frontier")
         if dirty(d1):
             flags.append("case3-loop-at-v1")
     elif fa != fb:
@@ -194,38 +166,19 @@ def _normalize_spec(f, v, da, db, b=None, a=None):
     else:
         case = 2
         d1, d2 = sorted((da, db))
-    if a is not None and g.filtration is not None:
-        lev1, lev2 = g.level_of(abs(d1)), g.level_of(abs(d2))
-        if not (a <= lev1 <= (b or lev1)):
-            flags.append("F4-e1-outside-span")
-        if b is not None and lev2 > b:
-            flags.append("F4-e2-above-b")
-        if lev2 < a and not (c == len(f.image(d2))):
-            flags.append("F5-lower-e2-not-full")
     full1 = c == len(f.image(d1))
     full2 = c == len(f.image(d2))
-    return FoldSpec(v, d1, d2, c, full1, full2, case, b, a, tuple(flags))
-
-
-def classify_fold(record):
-    """The Case 1/2/3 classification of a fold record."""
-    return record.case
+    return FoldSpec(v, d1, d2, c, full1, full2, case, tuple(flags))
 
 
 # ---------------------------------------------------------------------------
 # fold application
 # ---------------------------------------------------------------------------
 
-def _remap_path(path, emap_signed):
-    return tuple(emap_signed[d] for d in path)
-
-
 def fold_move(g, spec):
     """Carry out the quotient for a fold spec on the graph alone.
 
-    Returns (gstar, p, q, edge_translation) where edge_translation maps old
-    signed ids to new signed paths (used to push filtrations and markings).
-    Graph ids stay dense: replacement edges reuse the replaced slot, new
+    Returns (gstar, p, q).  Graph ids stay dense: replacement edges reuse the replaced slot, new
     material is appended, deletions shift higher ids down.
     """
     d1, d2, case = spec.d1, spec.d2, spec.case
@@ -351,7 +304,6 @@ def _push_filtration(g, p):
     if g.filtration is None:
         return None, ()
     levels = []
-    flags = []
     for lev in g.filtration:
         pushed = set()
         for e in lev:
@@ -360,7 +312,7 @@ def _push_filtration(g, p):
     for lo, hi in zip(levels, levels[1:]):
         if not lo < hi:
             return None, ("pushed-filtration-degenerate",)
-    return tuple(levels), tuple(flags)
+    return tuple(levels), ()
 
 
 def _push_graph_data(g, gstar, p):
@@ -375,46 +327,6 @@ def _push_graph_data(g, gstar, p):
     return g2, flags
 
 
-def _audit_push_hypotheses(f):
-    """Lemma push-forward hypotheses (1)-(3), reported as flags."""
-    flags = []
-    if not is_tight(f) or any(not p for p in f.edge_map):
-        flags.append("hyp1-not-immersed")
-    g = f.domain
-    n = rank(g)
-    if g.filtration is not None:
-        for i, lev in enumerate(g.filtration, start=1):
-            vset, eset = subgraph_closure(g, lev)
-            df = {}
-            for e in eset:
-                p = f.edge_map[e - 1]
-                if p:
-                    df[e] = p[0]
-                    df[-e] = -p[-1]
-            for v in vset:
-                dirs = {df[d] for d in _link_at(g, v) if d in df and abs(d) in eset}
-                if len(dirs) < 2:
-                    flags.append("hyp2-T-below-2")
-                    break
-            else:
-                continue
-            break
-    two = sum(1 for v in range(g.num_vertices) if gate_count(f, v) == 2)
-    if two > vertex_bound(n) // 2:
-        flags.append("hyp3-valence2-budget")
-    return tuple(flags)
-
-
-def _link_at(g, v):
-    out = []
-    for e, (a, b) in enumerate(g.edge_ends, start=1):
-        if a == v:
-            out.append(e)
-        if b == v:
-            out.append(-e)
-    return out
-
-
 def apply_fold_move(g, spec):
     """Carry out a fold on a graph alone (no map being factored): the record
     with quotient, inverse, and pushed filtration/marking data."""
@@ -422,8 +334,7 @@ def apply_fold_move(g, spec):
     gstar, push_flags = _push_graph_data(g, gstar_raw, p)
     p = GraphMap(g, gstar, p.vertex_map, p.edge_map)
     q = GraphMap(gstar, g, q.vertex_map, q.edge_map)
-    return FoldRecord(spec, spec.case, p, q, gstar.filtration,
-                      tuple(spec.flags) + push_flags)
+    return FoldRecord(spec, spec.case, p, q, tuple(spec.flags) + push_flags)
 
 
 def apply_fold(f, spec):
@@ -439,7 +350,6 @@ def apply_fold(f, spec):
     if pa[:c] != pb[:c]:
         raise StructuralError("fold spec does not match the map")
     gstar_raw, p, q = fold_move(g, spec)
-    hyp_flags = _audit_push_hypotheses(f) if g.filtration is not None else ()
     gstar, push_flags = _push_graph_data(g, gstar_raw, p)
     p = GraphMap(g, gstar, p.vertex_map, p.edge_map)
     q = GraphMap(gstar, g, q.vertex_map, q.edge_map)
@@ -479,8 +389,7 @@ def apply_fold(f, spec):
 
     if edgelet_count(f1) >= edgelet_count(f):
         raise StructuralError("fold failed to decrease the edgelet count")
-    record = FoldRecord(spec, spec.case, p, q, gstar.filtration,
-                        tuple(spec.flags) + push_flags + hyp_flags)
+    record = FoldRecord(spec, spec.case, p, q, tuple(spec.flags) + push_flags)
     return record, f1
 
 
@@ -570,22 +479,6 @@ def invert_homeomorphism(f):
 CLEAN_SEARCH_BUDGET = 50_000
 
 
-def _fold_candidates(f):
-    df = direction_map(f)
-    links = f.domain.links()
-    out = []
-    for v in range(f.domain.num_vertices):
-        by_image = {}
-        for d in sorted(links[v]):
-            if d in df:
-                by_image.setdefault(df[d], []).append(d)
-        for ds in by_image.values():
-            for i in range(len(ds)):
-                for k in range(i + 1, len(ds)):
-                    out.append((v, ds[i], ds[k]))
-    return out
-
-
 def _clean_factorize(f, budget=CLEAN_SEARCH_BUDGET):
     """Depth-first search for a factorization avoiding dirty case-3 folds
     (the ones whose inverse would have LC = 2).  Returns (records, terminal)
@@ -622,7 +515,7 @@ def _clean_factorize(f, budget=CLEAN_SEARCH_BUDGET):
     return None
 
 
-def factorize(f, prefer_lower_strata=False, j=None, clean=True):
+def factorize(f, clean=True):
     """Factor f into folds followed by a homeomorphism.
 
     The edgelet count strictly decreases at every fold, so at most
@@ -640,19 +533,17 @@ def factorize(f, prefer_lower_strata=False, j=None, clean=True):
         raise CertificationError(
             "cannot factor a map with collapsed edges", residual=f)
     records = []
-    stage_maps = [f]
     cur = f
     budget = edgelet_count(f) + 1
     while True:
         if budget <= 0:
             raise StructuralError("fold loop failed to terminate")
         budget -= 1
-        spec = find_fold(cur, prefer_lower_strata, j)
+        spec = find_fold(cur)
         if spec is None:
             break
         record, cur = apply_fold(cur, spec)
         records.append(record)
-        stage_maps.append(cur)
     theta_inv = _try_invert_homeo(cur)
     if theta_inv is None:
         raise CertificationError(
@@ -665,19 +556,8 @@ def factorize(f, prefer_lower_strata=False, j=None, clean=True):
             records = list(recs)
             theta_inv = _try_invert_homeo(terminal)
             cur = terminal
-            stage_maps = _stage_maps_along(f, records)
     return FoldFactorization(f.domain, f.codomain, tuple(records), cur,
-                             theta_inv, tuple(stage_maps))
-
-
-def _stage_maps_along(f, records):
-    """Reconstruct the induced maps K^i -> G' along a record path."""
-    stages = [f]
-    cur = f
-    for record in records:
-        _, cur = apply_fold(cur, record.spec)
-        stages.append(cur)
-    return stages
+                             theta_inv)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ components, topologically ordered; each diagonal block is irreducible or a
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -167,6 +168,13 @@ def period(m):
     m = np.asarray(m)
     if not is_irreducible(m):
         raise ValueError("period requires an irreducible matrix")
+    return _cyclic_classes(m)[0]
+
+
+def _cyclic_classes(m):
+    """(period, cyclic classes) of an irreducible matrix, from one BFS out of
+    index 0: the period is the gcd of dist(v) + 1 - dist(w) over the arcs
+    v -> w, and class k holds the indices at distance k modulo the period."""
     n = m.shape[0]
     adjacency = [list(np.nonzero(m[:, k])[0]) for k in range(n)]
     dist = [None] * n
@@ -182,26 +190,11 @@ def period(m):
     for v in range(n):
         for w in adjacency[v]:
             g = math.gcd(g, dist[v] + 1 - dist[w])
-    return max(g, 1)
-
-
-def _cyclic_classes(m, p):
-    m = np.asarray(m)
-    n = m.shape[0]
-    adjacency = [list(np.nonzero(m[:, k])[0]) for k in range(n)]
-    dist = [None] * n
-    dist[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop(0)
-        for w in adjacency[v]:
-            if dist[w] is None:
-                dist[w] = dist[v] + 1
-                queue.append(w)
+    p = max(g, 1)
     classes = [[] for _ in range(p)]
     for v in range(n):
         classes[dist[v] % p].append(v)
-    return classes
+    return p, classes
 
 
 def _is_permutation_cycle(m):
@@ -223,11 +216,16 @@ def pf_value(m, tol=PF_TOL, cap=PF_ITERATION_CAP):
         raise ValueError("pf_value requires an irreducible matrix")
     if _is_permutation_cycle(m):
         return 1.0
-    p = period(m)
+    return _pf_and_period(m, tol, cap)[0]
+
+
+def _pf_and_period(m, tol=PF_TOL, cap=PF_ITERATION_CAP):
+    """pf_value and period of an integer matrix already known to be
+    irreducible and not a permutation cycle."""
+    p, cls = _cyclic_classes(m)
     if p == 1:
         lam = _power_iteration(m.astype(float), tol, cap)
     else:
-        cls = _cyclic_classes(m, p)
         mp = np.linalg.matrix_power(m.astype(object), p).astype(float)
         sub = mp[np.ix_(cls[0], cls[0])]
         lam = _power_iteration(sub, tol, cap) ** (1.0 / p)
@@ -235,7 +233,7 @@ def pf_value(m, tol=PF_TOL, cap=PF_ITERATION_CAP):
     big = lc(m)
     if lam > alpha * big + 1e-6 or lam ** alpha < big * (1 - 1e-9):
         raise NumericError("Perron-Frobenius value violates its bounds")
-    return float(lam)
+    return float(lam), p
 
 
 def _power_iteration(m, tol, cap):
@@ -356,7 +354,8 @@ class SpectrumEntry:
 
 @dataclass(frozen=True)
 class ExpansionSpectrum:
-    entries: tuple  # decreasing by value
+    entries: tuple     # decreasing by value
+    filtration: tuple  # sorted edge-id blocks of the maximal invariant filtration
 
     def values(self):
         return [e.value for e in self.entries]
@@ -391,11 +390,12 @@ def gamma(f):
         sub = tm.entries[np.ix_(idx, idx)]
         if _is_permutation_cycle(sub):
             continue
-        lam = pf_value(sub)
+        lam, p = _pf_and_period(sub)
         if lam > 1.0:
-            entries.append(SpectrumEntry(lam, period(sub), level, tuple(edges)))
+            entries.append(SpectrumEntry(lam, p, level, tuple(edges)))
     entries.sort(key=lambda e: (-e.value, e.stratum))
-    return ExpansionSpectrum(tuple(entries))
+    filtration = tuple(tuple(sorted(edges)) for edges in blocks_edges)
+    return ExpansionSpectrum(tuple(entries), filtration)
 
 
 def gamma_hat(f):
@@ -408,7 +408,7 @@ def gamma_hat(f):
             expanded.append(SpectrumEntry(e.value, e.multiplicity, e.stratum,
                                           e.block_edges))
     expanded.sort(key=lambda e: (-e.value, e.stratum))
-    return ExpansionSpectrum(tuple(expanded))
+    return ExpansionSpectrum(tuple(expanded), base.filtration)
 
 
 def gamma_hat_by_power(f):
@@ -427,18 +427,19 @@ def gamma_hat_by_power(f):
     return sorted(vals, reverse=True)
 
 
-def spectrum_report(f, certified=None):
-    """JSON-ready spectrum report."""
-    blocks_edges, bs, _ = maximal_invariant_filtration(f)
-    hat = gamma_hat(f)
+def spectrum_report(hat, certified=None):
+    """JSON-ready report of a gamma_hat spectrum.  Its entries repeat each
+    Gamma value once per unit of multiplicity, consecutively, so Gamma is the
+    first entry of each stratum."""
     data = {
-        "gamma": gamma(f).values(),
+        "gamma": [next(run).value for _, run in
+                  groupby(hat.entries, key=lambda e: e.stratum)],
         "gamma_hat": [
             {"lambda": e.value, "multiplicity": e.multiplicity,
              "block_edges": list(e.block_edges)}
             for e in hat.entries
         ],
-        "filtration": [sorted(edges) for edges in blocks_edges],
+        "filtration": [list(edges) for edges in hat.filtration],
     }
     if certified is not None:
         data["certified"] = bool(certified)

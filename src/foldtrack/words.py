@@ -356,7 +356,6 @@ def invert_automorphism_words(images):
     for side, i, j, eps, count in reversed(moves):
         # rho: x_i -> x_i x_j^(eps*count) (side R) or x_j^(eps*count) x_i (L)
         rho = [((k + 1),) for k in range(rank)]
-        tail = tuple([eps * (j + 1)] * count) if eps > 0 else tuple([-(j + 1)] * count)
         tail = tuple([(j + 1) if eps > 0 else -(j + 1)] * count)
         if side == "R":
             rho[i] = (i + 1,) + tail

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -159,6 +161,29 @@ def test_word_growth_examples():
     assert abs(word_growth_rate(pg_inv, k_max=40) - 1.3247179572) < 1e-2
     ident = parse_automorphism("a->a, b->b")
     assert word_growth_rate(ident, k_max=10) == 1.0
+
+
+GROWING_CONJUGATOR = "a->c^-1 ac, b->a^-1 a^-1 b^-1 c, c->a^-1 baac^-1 baa"
+
+_CAPPED_GROWTH = """
+import resource, sys
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from foldtrack.automorphisms import parse_automorphism, word_growth_rate
+word_growth_rate(parse_automorphism(sys.argv[1]))
+"""
+
+
+def test_word_growth_conjugator_stays_bounded():
+    """Iterating this automorphism grows a conjugator: by step 9 the image
+    of a has about 250,000 letters and cyclic length 1.  Growth must follow
+    cyclic lengths in bounded memory.  The child runs under a 1 GiB address
+    space cap, so a regression fails with MemoryError rather than exhausting
+    the machine."""
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_GROWTH,
+                           GROWING_CONJUGATOR],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_fold_inverse_examples():

@@ -175,7 +175,7 @@ def test_folds_into_lower_strata():
     rose = make_graph(1, [(0, 0)] * 3, basepoint=0, marking=[(1,), (2,), (3,)],
                       filtration=[{1}, {1, 2, 3}])
     spec = FoldSpec(vertex=0, d1=2, d2=3, prefix_len=1, full1=False,
-                    full2=True, case=1, b=2, a=2)
+                    full2=True, case=1)
     record = apply_fold_move(rose, spec)
     assert not folds_into_lower_strata(record, 2)
 
@@ -266,7 +266,7 @@ def test_forced_loop_merge_has_lc_two():
     loop-carrying vertices, and the inverse then crosses the connecting path
     twice.  The engine flags exactly those records and LC never exceeds 2.
     (Exhaustive search over all fold orders confirms no clean sequence for
-    this map; see the decisions ledger.)"""
+    this map; see the README's "Notes on guarantees".)"""
     from foldtrack.automorphisms import parse_automorphism, rose_representative
     from foldtrack.folding import _clean_factorize
     from foldtrack.spectra import lc
@@ -295,7 +295,11 @@ def test_factorize_roundtrip_random(seed, n):
     f = tighten_map(rose_representative(aut))
     fact = factorize(f)
     # edgelet counts strictly decrease stage by stage
-    counts = [edgelet_count(m) for m in fact.stage_maps]
+    counts = [edgelet_count(f)]
+    cur = f
+    for record in fact.records:
+        _, cur = apply_fold(cur, record.spec)
+        counts.append(edgelet_count(cur))
     assert all(a > b for a, b in zip(counts, counts[1:]))
     assert fact.fold_count <= edgelet_count(f)
     g = controlled_inverse(fact)

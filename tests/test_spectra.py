@@ -92,7 +92,7 @@ def test_gamma_hat_by_power_general(fibonacci):
 
 
 def test_spectrum_report_shape(fibonacci):
-    data = spectrum_report(fibonacci, certified=True)
+    data = spectrum_report(gamma_hat(fibonacci), certified=True)
     assert set(data) == {"gamma", "gamma_hat", "filtration", "certified"}
     assert data["gamma_hat"][0]["multiplicity"] == 1
     assert data["filtration"] == [[1, 2]]
