@@ -16,11 +16,10 @@ from .folding import (
     FoldFactorization, InverseStats, controlled_inverse, factorize,
 )
 from .graph import (
-    make_graph, pi1_generators, pi1_word, rank, spanning_tree, tree_path,
+    make_graph, pi1_generators, pi1_word, spanning_tree, tree_path,
 )
 from .graph_map import (
-    GraphMap, apply_path, compose, direction_map, make_graph_map,
-    tighten_map, transition_matrix,
+    GraphMap, apply_path, direction_map, tighten_map, transition_matrix,
 )
 from .spectra import ExpansionSpectrum, gamma_hat, spectrum_report
 from .words import (
@@ -114,7 +113,7 @@ def _parse_word(text, letter_index):
     return tuple(word)
 
 
-def parse_automorphism(text, certify=True):
+def parse_automorphism(text):
     """Parse "a->ab, b->a" into a certified Automorphism."""
     rules = [part.strip() for part in text.split(",") if part.strip()]
     if not rules:
@@ -137,7 +136,7 @@ def parse_automorphism(text, certify=True):
     images = [None] * len(lhs)
     for left, right in zip(lhs, rhs):
         images[letter_index[left] - 1] = _parse_word(right, letter_index)
-    return make_automorphism(images, certify=certify)
+    return make_automorphism(images)
 
 
 def format_word(w):
@@ -168,8 +167,9 @@ def rose_graph(n):
 
 
 def rose_representative(aut):
+    # any word in the letters +-1..n is a loop at the rose's one vertex
     rose = rose_graph(aut.rank)
-    return make_graph_map(rose, rose, (0,), aut.images)
+    return GraphMap(rose, rose, (0,), aut.images)
 
 
 def normalize_outer(aut):
@@ -221,7 +221,7 @@ def normalize_outer(aut):
     return Automorphism(aut.rank, best)
 
 
-def read_automorphism(f, normalize=True):
+def read_automorphism(f):
     """The outer automorphism induced by a marking-respecting self map,
     expressed in the rose basis through spanning-tree pi_1 coordinates."""
     g = f.domain
@@ -234,9 +234,7 @@ def read_automorphism(f, normalize=True):
     base = g.basepoint
     # marking iso m: x_i -> word of rho(x_i) in the tree basis
     m_images = [pi1_word(g, p, tree, gens) for p in g.marking]
-    if not generates_free_group(m_images, rank(g)):
-        raise CertificationError("marking does not read as a basis")
-    m_inv = invert_automorphism_words(m_images)
+    m_inv = invert_automorphism_words(m_images)  # CertificationError if no basis
     # induced map on the tree basis
     b_images = []
     for e in gens:
@@ -245,8 +243,7 @@ def read_automorphism(f, normalize=True):
         b_images.append(pi1_word(g, apply_path(f, loop), tree, gens))
     phi = [substitute_reduced(substitute_reduced(m_images[i], b_images), m_inv)
            for i in range(len(m_images))]
-    aut = make_automorphism(phi)
-    return normalize_outer(aut) if normalize else aut
+    return normalize_outer(make_automorphism(phi))
 
 
 def is_inner(images, rank=None):
@@ -323,15 +320,18 @@ def word_growth_rate(aut, seeds=None, k_max=40, length_cap=GROWTH_LENGTH_CAP):
     the transition matrix of the tightened rose map (same asymptotics, no
     exponential memory).
     """
+    f = tighten_map(rose_representative(aut))
+    return _growth_rate(aut, f, check_train_track(f), seeds, k_max, length_cap)
+
+
+def _growth_rate(aut, f, matrix_exact, seeds=None, k_max=40,
+                 length_cap=GROWTH_LENGTH_CAP):
+    """word_growth_rate given aut's tightened rose map f and check_train_track(f)."""
     if k_max < 8:
         raise ValueError("k_max must be at least 8")
     if seeds is None:
         seeds = [(i + 1,) for i in range(aut.rank)]
-    f = tighten_map(rose_representative(aut))
     m = transition_matrix(f).entries.astype(float)
-    # Certified train-track maps never cancel under iteration, so lengths
-    # follow the transition matrix exactly; skip the word materialization.
-    matrix_exact = check_train_track(f)
     best = 0.0
     for seed in seeds:
         w = cyclic_reduce(seed)
@@ -341,9 +341,9 @@ def word_growth_rate(aut, seeds=None, k_max=40, length_cap=GROWTH_LENGTH_CAP):
         vec = None
         offset = 0.0
         if matrix_exact:
-            vec = np.zeros(aut.rank)
-            for a in aut(w):
-                vec[abs(a) - 1] += 1
+            # Certified train-track maps never cancel under iteration, so
+            # lengths follow the transition matrix exactly; skip the words.
+            vec = _letter_counts(aut(w), aut.rank)
             logs.append(math.log(vec.sum()))
         for _ in range(k_max - len(logs)):
             if vec is None:
@@ -357,9 +357,7 @@ def word_growth_rate(aut, seeds=None, k_max=40, length_cap=GROWTH_LENGTH_CAP):
                     break
                 logs.append(math.log(n))
                 if n > length_cap:
-                    vec = np.zeros(aut.rank)
-                    for a in w:
-                        vec[abs(a) - 1] += 1
+                    vec = _letter_counts(w, aut.rank)
             else:
                 vec = m @ vec
                 total = float(vec.sum())
@@ -374,6 +372,11 @@ def word_growth_rate(aut, seeds=None, k_max=40, length_cap=GROWTH_LENGTH_CAP):
         if logs:
             best = max(best, _slope_rate(logs))
     return best
+
+
+def _letter_counts(w, rank):
+    counts = np.bincount(np.abs(np.asarray(w, dtype=np.int64)), minlength=rank + 1)
+    return counts[1:].astype(float)
 
 
 def _slope_rate(logs):
@@ -435,9 +438,12 @@ def fold_inverse(aut):
 
 
 def _fold_inverse_of(f):
+    """f is a tightened rose map, so its controlled inverse g is a tightened
+    self map of the same rose: g's edge images are the generator images of
+    the inverse, already certified by factorize."""
     fact = factorize(f)
-    g, stats = controlled_inverse(fact, with_stats=True)
-    return read_automorphism(g), fact, stats
+    g, stats = controlled_inverse(fact)
+    return normalize_outer(Automorphism(len(g.edge_map), g.edge_map)), fact, stats
 
 
 @dataclass(frozen=True)
@@ -449,6 +455,8 @@ class ExpansionPair:
 
     phi: Automorphism                  # normal form of the input
     inverse: Automorphism              # controlled inverse, normal form
+    rose_map: GraphMap                 # tightened rose map of phi
+    inverse_rose_map: GraphMap
     factorization: FoldFactorization   # of the rose map of phi
     inverse_stats: InverseStats
     spectrum: ExpansionSpectrum        # Gamma-hat of phi
@@ -481,8 +489,9 @@ def expansion_pair(aut):
     f = tighten_map(rose_representative(phi))
     inv, fact, stats = _fold_inverse_of(f)
     fi = tighten_map(rose_representative(inv))
-    return ExpansionPair(phi, inv, fact, stats, gamma_hat(f), gamma_hat(fi),
-                         check_train_track(f), check_train_track(fi))
+    return ExpansionPair(phi, inv, f, fi, fact, stats, gamma_hat(f),
+                         gamma_hat(fi), check_train_track(f),
+                         check_train_track(fi))
 
 
 def expansion_report(aut, k_max=40):
@@ -500,8 +509,10 @@ def expansion_report(aut, k_max=40):
         "gamma_hat_forward": pair.spectrum.values(),
         "gamma_hat_inverse": pair.inverse_spectrum.values(),
         "growth_estimates": {
-            "forward": word_growth_rate(pair.phi, k_max=k_max),
-            "inverse": word_growth_rate(pair.inverse, k_max=k_max),
+            "forward": _growth_rate(pair.phi, pair.rose_map, pair.certified,
+                                    k_max=k_max),
+            "inverse": _growth_rate(pair.inverse, pair.inverse_rose_map,
+                                    pair.inverse_certified, k_max=k_max),
         },
         "fold_count": pair.factorization.fold_count,
         "inverse_lc": pair.inverse_stats.lc,

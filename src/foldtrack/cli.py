@@ -93,7 +93,7 @@ def cmd_invert(args):
         with open(args.input) as fh:
             f = map_from_json(json.load(fh))
         fact = factorize(tighten_map(f))
-        g, stats = controlled_inverse(fact, with_stats=True)
+        g, stats = controlled_inverse(fact)
         payload = {"inverse_map": map_to_json(g)}
     else:
         aut = parse_automorphism(args.input)

@@ -515,7 +515,7 @@ def _clean_factorize(f, budget=CLEAN_SEARCH_BUDGET):
     return None
 
 
-def factorize(f, clean=True):
+def factorize(f):
     """Factor f into folds followed by a homeomorphism.
 
     The edgelet count strictly decreases at every fold, so at most
@@ -523,10 +523,10 @@ def factorize(f, clean=True):
     map attached) when the terminal immersion is not a homeomorphism, which
     happens exactly when f was not a homotopy equivalence.
 
-    The greedy pass defers dirty case-3 folds; if some remain in the result
-    and `clean` is set, a bounded backtracking search looks for a
-    factorization without any (keeping LC(M(q)) = 1 for every record), and
-    the greedy factorization is kept only when that search fails.
+    The greedy pass defers dirty case-3 folds; if some remain in the result,
+    a bounded backtracking search looks for a factorization without any
+    (keeping LC(M(q)) = 1 for every record), and the greedy factorization
+    is kept only when that search fails.
     """
     f = tighten_map(f)
     if any(not p for p in f.edge_map):
@@ -549,7 +549,7 @@ def factorize(f, clean=True):
         raise CertificationError(
             "terminal immersion is not a homeomorphism; "
             "the input was not a homotopy equivalence", residual=cur)
-    if clean and any("case3-loop-at-v1" in r.flags for r in records):
+    if any("case3-loop-at-v1" in r.flags for r in records):
         found = _clean_factorize(f)
         if found is not None:
             recs, terminal = found
@@ -569,18 +569,16 @@ class InverseStats:
     stage_lcs: tuple
 
 
-def controlled_inverse(fact, with_stats=False):
+def controlled_inverse(fact):
     """Homotopy inverse g = q_1 o ... o q_k o theta', tightened.
 
-    With with_stats=True also returns the LC bookkeeping against the
+    Returns (g, stats): stats is the LC bookkeeping against the
     Edge_n^{k-1} * prod LC(M(q_i)) product bound.
     """
     g = fact.theta_inverse
     for record in reversed(fact.records):
         g = compose(record.inverse, g)
     g = tighten_map(g)
-    if not with_stats:
-        return g
     stage_lcs = [int(transition_matrix(r.inverse).entries.max(initial=0))
                  for r in fact.records]
     stage_lcs.append(int(transition_matrix(fact.theta_inverse).entries.max(initial=0)))

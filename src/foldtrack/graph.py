@@ -17,7 +17,7 @@ from .words import reduce_word
 
 __all__ = [
     "Graph", "make_graph", "rank", "components", "tighten", "reverse_path",
-    "path_endpoints", "is_edge_path", "stratum", "frontier", "spanning_tree",
+    "path_endpoints", "stratum", "frontier", "spanning_tree",
     "pi1_word", "tree_path", "subgraph_closure", "build_subgraph",
     "subgraph_rank", "valences", "validate_filtration", "edge_level",
     "graph_to_json", "graph_from_json",
@@ -158,18 +158,6 @@ def path_endpoints(g, path):
             raise StructuralError("path steps not endpoint-compatible")
         cur = v
     return start, cur
-
-
-def is_edge_path(g, path, closed_at=None):
-    try:
-        if not path:
-            return True
-        u, v = path_endpoints(g, path)
-    except StructuralError:
-        return False
-    if closed_at is not None:
-        return u == closed_at and v == closed_at
-    return True
 
 
 def reverse_path(path):
@@ -422,26 +410,27 @@ def graph_to_json(g):
 
 
 def graph_from_json(data):
-    vs = list(data["vertices"])
-    vmap = {v: i for i, v in enumerate(vs)}
-    edges = sorted(data["edges"], key=lambda d: d["id"])
-    emap = {d["id"]: i + 1 for i, d in enumerate(edges)}
-    ends = [(vmap[d["from"]], vmap[d["to"]]) for d in edges]
-
-    def remap_path(p):
-        return tuple((emap[abs(d)] if d > 0 else -emap[abs(d)]) for d in p)
-
-    marking = data.get("marking")
-    filtration = data.get("filtration")
-    g = make_graph(
-        len(vs), ends,
-        basepoint=vmap[data["basepoint"]] if data.get("basepoint") is not None else None,
-        marking=[remap_path(p) for p in marking] if marking is not None else None,
-        filtration=[frozenset(emap[e] for e in lev) for lev in filtration]
-        if filtration else None,
-        weak_filtration=bool(data.get("weak_filtration", False)),
-    )
-    return g
+    """Decode and validate a graph; malformed input raises StructuralError."""
+    try:
+        vs = list(data["vertices"])
+        vmap = {v: i for i, v in enumerate(vs)}
+        edges = sorted(data["edges"], key=lambda d: d["id"])
+        emap = {d["id"]: i + 1 for i, d in enumerate(edges)}
+        signed = {**emap, **{-e: -i for e, i in emap.items()}}
+        ends = [(vmap[d["from"]], vmap[d["to"]]) for d in edges]
+        marking = data.get("marking")
+        if marking is not None:
+            marking = [tuple(signed[d] for d in p) for p in marking]
+        filtration = [frozenset(emap[e] for e in lev)
+                      for lev in data.get("filtration") or ()]
+        base = data.get("basepoint")
+        base = vmap[base] if base is not None else None
+    except (KeyError, TypeError) as exc:
+        raise StructuralError("malformed graph JSON: %s: %s"
+                              % (type(exc).__name__, exc)) from None
+    return make_graph(len(vs), ends, basepoint=base, marking=marking,
+                      filtration=filtration or None,
+                      weak_filtration=bool(data.get("weak_filtration", False)))
 
 
 def load_graph(path):

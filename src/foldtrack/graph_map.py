@@ -41,43 +41,39 @@ class GraphMap:
         return apply_path(self, path)
 
 
-def make_graph_map(domain, codomain, vertex_map, edge_map, check=True):
+def make_graph_map(domain, codomain, vertex_map, edge_map):
+    """Validating constructor for maps built from outside data.  Maps the
+    library derives from valid maps are built as GraphMap directly."""
+    g, h = domain, codomain
     vertex_map = tuple(vertex_map)
     edge_map = tuple(tuple(p) for p in edge_map)
-    f = GraphMap(domain, codomain, vertex_map, edge_map)
-    if check:
-        validate_graph_map(f)
-    return f
-
-
-def validate_graph_map(f):
-    g, h = f.domain, f.codomain
-    if len(f.vertex_map) != g.num_vertices:
+    if len(vertex_map) != g.num_vertices:
         raise StructuralError("vertex map has wrong size")
-    if any(not 0 <= w < h.num_vertices for w in f.vertex_map):
+    if any(not 0 <= w < h.num_vertices for w in vertex_map):
         raise StructuralError("vertex image out of range")
-    if len(f.edge_map) != g.num_edges:
+    if len(edge_map) != g.num_edges:
         raise StructuralError("edge map has wrong size")
     for e in g.edge_ids:
         u, v = g.edge_ends[e - 1]
-        p = f.edge_map[e - 1]
+        p = edge_map[e - 1]
+        if any(not 1 <= abs(d) <= h.num_edges for d in p):
+            raise StructuralError(
+                "image of edge %d names an edge outside 1..%d"
+                % (e, h.num_edges))
         if p:
-            a, b = None, None
-            cur = h.init(p[0])
-            a = cur
+            cur = a = h.init(p[0])
             for d in p:
                 x, y = h.endpoints(d)
                 if x != cur:
                     raise StructuralError("image of edge %d is not a path" % e)
                 cur = y
-            b = cur
-            if (a, b) != (f.vertex_map[u], f.vertex_map[v]):
+            if (a, cur) != (vertex_map[u], vertex_map[v]):
                 raise StructuralError(
                     "image of edge %d not compatible with vertex images" % e)
-        else:
-            if f.vertex_map[u] != f.vertex_map[v]:
-                raise StructuralError(
-                    "collapsed edge %d with distinct vertex images" % e)
+        elif vertex_map[u] != vertex_map[v]:
+            raise StructuralError(
+                "collapsed edge %d with distinct vertex images" % e)
+    return GraphMap(domain, codomain, vertex_map, edge_map)
 
 
 def identity_map(g):
@@ -288,7 +284,7 @@ def restrict(f, edges, cod_edges=None):
         except KeyError:
             raise StructuralError(
                 "image of edge %d leaves the stated codomain subgraph" % e)
-    rf = make_graph_map(dom_g, cod_g, vmap, emap)
+    rf = GraphMap(dom_g, cod_g, tuple(vmap), tuple(emap))
     return rf, (dvmap, demap), (cvmap, cemap)
 
 
@@ -350,15 +346,19 @@ def map_to_json(f):
 
 
 def map_from_json(data):
+    """Decode and validate a map; malformed input raises StructuralError."""
     from .graph import graph_from_json
-    dom = graph_from_json(data["domain"])
-    cod = graph_from_json(data["codomain"])
-    vmap = [None] * dom.num_vertices
-    for k, w in data["vertex_map"].items():
-        vmap[int(k)] = int(w)
-    emap = [None] * dom.num_edges
-    for k, path in data["edge_map"].items():
-        emap[int(k) - 1] = tuple(int(d) for d in path)
+    try:
+        dom = graph_from_json(data["domain"])
+        cod = graph_from_json(data["codomain"])
+        vtab, etab = data["vertex_map"], data["edge_map"]
+        vmap = [int(vtab[str(v)]) for v in range(dom.num_vertices)]
+        emap = [tuple(int(d) for d in etab[str(e)]) for e in dom.edge_ids]
+    except (KeyError, TypeError) as exc:
+        raise StructuralError("malformed map JSON: %s: %s"
+                              % (type(exc).__name__, exc)) from None
+    if len(vtab) != dom.num_vertices or len(etab) != dom.num_edges:
+        raise StructuralError("map JSON has a key naming no domain vertex or edge")
     return make_graph_map(dom, cod, vmap, emap)
 
 

@@ -13,7 +13,7 @@ from .graph import (
     make_graph, pi1_generators, pi1_word, rank, reverse_path, spanning_tree,
     tree_path,
 )
-from .graph_map import GraphMap, edgelet_count, make_graph_map, map_length
+from .graph_map import GraphMap, edgelet_count, map_length
 from .words import invert_automorphism_words, substitute_reduced
 
 __all__ = ["MetricEstimate", "difference_map", "estimate_d",
@@ -37,7 +37,8 @@ def difference_map(g, h):
     Spanning-tree edges collapse to the codomain basepoint; each non-tree
     edge maps to the codomain realization of its pi_1 coordinate, rewritten
     through the inverse of the domain marking.  Marking-respecting by
-    construction, edge images tightened.
+    construction, edge images tightened: each image is a reduced product
+    of marking loops, which are closed at the basepoint every vertex maps to.
     """
     if g.marking is None or h.marking is None:
         raise ValueError("both graphs must be marked")
@@ -56,26 +57,26 @@ def difference_map(g, h):
         else:
             word = substitute_reduced(m_inv[gen_index[e]], h.marking)
             emap.append(word)
-    return make_graph_map(g, h, vmap, emap)
+    return GraphMap(g, h, vmap, tuple(emap))
 
 
-def slide_normalize(f, step_cap=None):
+def slide_normalize(f):
     """Slide vertex images across shared first edges while some T(f,v) = 1.
 
     The slide is a homotopy moving f(v) across e': every direction at v gets
     e'^-1 prepended, which strips a letter from directions whose image
     starts with e' and grows collapsed edges by one letter.  A slide is
     applied only when it strictly shortens the total edge length, so the
-    loop terminates; a step cap of 10 * #edges guards it anyway.
+    loop terminates; a step cap of 10 * #edges guards it anyway.  Each
+    slide keeps every image a path between the new vertex images.
     """
     from .words import reduce_word
 
     g, h = f.domain, f.codomain
     vmap = list(f.vertex_map)
     emap = [list(p) for p in f.edge_map]
-    cap = step_cap if step_cap is not None else 10 * max(g.num_edges, 1)
     links = g.links()
-    for _ in range(cap):
+    for _ in range(10 * max(g.num_edges, 1)):
         slid = False
         for v in range(g.num_vertices):
             firsts = set()
@@ -111,7 +112,7 @@ def slide_normalize(f, step_cap=None):
             break
         if not slid:
             break
-    return make_graph_map(g, h, vmap, [tuple(p) for p in emap])
+    return GraphMap(g, h, tuple(vmap), tuple(tuple(p) for p in emap))
 
 
 def estimate_d(g, h):

@@ -203,7 +203,7 @@ def _is_permutation_cycle(m):
             and (m.sum(axis=1) == 1).all())
 
 
-def pf_value(m, tol=PF_TOL, cap=PF_ITERATION_CAP):
+def pf_value(m):
     """Perron-Frobenius eigenvalue of an irreducible nonnegative integer
     matrix by sum-normalized power iteration; imprimitive matrices are
     handled by iterating M^p on a cyclic class.
@@ -216,19 +216,19 @@ def pf_value(m, tol=PF_TOL, cap=PF_ITERATION_CAP):
         raise ValueError("pf_value requires an irreducible matrix")
     if _is_permutation_cycle(m):
         return 1.0
-    return _pf_and_period(m, tol, cap)[0]
+    return _pf_and_period(m)[0]
 
 
-def _pf_and_period(m, tol=PF_TOL, cap=PF_ITERATION_CAP):
+def _pf_and_period(m):
     """pf_value and period of an integer matrix already known to be
     irreducible and not a permutation cycle."""
     p, cls = _cyclic_classes(m)
     if p == 1:
-        lam = _power_iteration(m.astype(float), tol, cap)
+        lam = _power_iteration(m.astype(float), PF_TOL, PF_ITERATION_CAP)
     else:
         mp = np.linalg.matrix_power(m.astype(object), p).astype(float)
         sub = mp[np.ix_(cls[0], cls[0])]
-        lam = _power_iteration(sub, tol, cap) ** (1.0 / p)
+        lam = _power_iteration(sub, PF_TOL, PF_ITERATION_CAP) ** (1.0 / p)
     alpha = m.shape[0]
     big = lc(m)
     if lam > alpha * big + 1e-6 or lam ** alpha < big * (1 - 1e-9):

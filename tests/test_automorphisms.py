@@ -73,12 +73,19 @@ def test_read_automorphism(fibonacci):
     assert read_automorphism(ident).is_identity()
 
 
+def test_read_automorphism_rejects_non_basis_marking():
+    from foldtrack.graph import make_graph
+    g = make_graph(1, [(0, 0)] * 2, basepoint=0, marking=[(1,), (1, 1)])
+    with pytest.raises(CertificationError):
+        read_automorphism(identity_map(g))
+
+
 def test_read_automorphism_case1_pipeline(rose2):
     # a->a, b->ab: controlled inverse reads as a->a, b->a^-1 b
     from foldtrack.folding import controlled_inverse, factorize
     from foldtrack.graph_map import make_graph_map
     f = make_graph_map(rose2, rose2, (0,), [(1,), (1, 2)])
-    g = controlled_inverse(factorize(f))
+    g, _ = controlled_inverse(factorize(f))
     assert format_automorphism(read_automorphism(g)) == "a->a, b->a^-1 b"
 
 

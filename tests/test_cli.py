@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -65,6 +67,33 @@ def test_invert_map_file(tmp_path):
     assert proc.returncode == 0
     dump = json.loads(out.read_text())
     assert dump["inverse_map"]["edge_map"] == {"1": [2], "2": [-2, 1]}
+
+
+def _fib_map_json():
+    from foldtrack.automorphisms import parse_automorphism, rose_representative
+    from foldtrack.graph_map import map_to_json
+    return map_to_json(rose_representative(parse_automorphism("a->ab, b->a")))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["edge_map"].update({"1": [1, 5]}),
+    lambda d: d["edge_map"].update({"1": [0]}),
+    lambda d: d.update(vertex_map={}),
+    lambda d: d["edge_map"].update({"3": [1]}),
+    lambda d: d["domain"].update(marking=[[1], [7]]),
+    lambda d: d.update(vertex_map={"0": None}),
+    lambda d: d["codomain"].update(edges=5),
+], ids=["edge-id-5", "letter-0", "empty-vertex-map", "edge-key-3",
+        "marking-unknown-edge", "null-vertex-image", "edges-not-a-list"])
+def test_invert_malformed_map_exit_2(tmp_path, edit):
+    data = _fib_map_json()
+    edit(data)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("invert", str(path))
+    assert proc.returncode == 2
+    assert "error: " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_ratio_command():

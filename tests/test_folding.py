@@ -102,7 +102,7 @@ def test_factorize_single_fold(rose2):
     f = make_graph_map(rose2, rose2, (0,), [(1,), (1, 2)])
     fact = factorize(f)
     assert fact.fold_count == 1
-    g = controlled_inverse(fact)
+    g, _ = controlled_inverse(fact)
     assert tighten_map(g).edge_map == ((1,), (-1, 2))
 
 
@@ -116,15 +116,15 @@ def test_factorize_fibonacci_recomposition(fibonacci):
 
 
 def test_controlled_inverse_examples(rose2, fibonacci, parageometric):
-    g, stats = controlled_inverse(factorize(fibonacci), with_stats=True)
+    g, stats = controlled_inverse(factorize(fibonacci))
     assert tighten_map(g).edge_map == ((2,), (-2, 1))
     assert stats.lc >= 1 and stats.within_bound
     ident = identity_map(rose2)
-    gi = controlled_inverse(factorize(ident))
+    gi, _ = controlled_inverse(factorize(ident))
     assert tighten_map(gi).edge_map == ident.edge_map
     from foldtrack.automorphisms import rose_representative
     pg = rose_representative(parageometric)
-    gp = controlled_inverse(factorize(pg))
+    gp, _ = controlled_inverse(factorize(pg))
     assert tighten_map(gp).edge_map == ((2,), (3,), (-2, 1))
 
 
@@ -207,7 +207,7 @@ def test_lc_product_bound_on_random_inverses():
     for _ in range(20):
         aut = random_automorphism(3, 8, rng)
         fact = factorize(tighten_map(rose_representative(aut)))
-        _, stats = controlled_inverse(fact, with_stats=True)
+        _, stats = controlled_inverse(fact)
         assert stats.within_bound
 
 
@@ -282,7 +282,7 @@ def test_forced_loop_merge_has_lc_two():
         assert value <= 2
         assert (value == 1) == ("case3-loop-at-v1" not in record.flags)
     # the controlled inverse is still correct
-    g = controlled_inverse(fact)
+    g, _ = controlled_inverse(fact)
     assert outer_trivial(tighten_map(compose(g, f)))
 
 
@@ -302,6 +302,6 @@ def test_factorize_roundtrip_random(seed, n):
         counts.append(edgelet_count(cur))
     assert all(a > b for a, b in zip(counts, counts[1:]))
     assert fact.fold_count <= edgelet_count(f)
-    g = controlled_inverse(fact)
+    g, _ = controlled_inverse(fact)
     assert outer_trivial(tighten_map(compose(g, f)))
     assert outer_trivial(tighten_map(compose(f, g)))

@@ -24,6 +24,26 @@ def test_apply_examples(rose2, fibonacci):
         reverse_path(apply_path(fibonacci, p))
 
 
+THETA_IDENTITY = ((0, 1), ((1,), (2,), (3,)))
+
+
+@pytest.mark.parametrize("vmap, emap", [
+    ((0, 1), ((1, 2), (2,), (3,))),      # image is not a path
+    ((0, 1), ((1, -2), (2,), (3,))),     # image ends do not match vertex images
+    ((0, 1), ((), (2,), (3,))),          # collapsed edge, distinct vertex images
+    ((1, 0), ((0,), (-2,), (-3,))),      # letter 0 (valid if read as -3)
+    ((0, 1), ((1,), (4,), (3,))),        # letter beyond +-E
+    ((0, 1), ((1,), (2,), (-4,))),
+    ((0, 2), THETA_IDENTITY[1]),         # vertex image out of range
+    ((0,), THETA_IDENTITY[1]),           # vertex_map of the wrong size
+    ((0, 1), ((1,), (2,))),              # edge_map of the wrong size
+])
+def test_make_graph_map_rejects(theta, vmap, emap):
+    make_graph_map(theta, theta, *THETA_IDENTITY)
+    with pytest.raises(StructuralError):
+        make_graph_map(theta, theta, vmap, emap)
+
+
 def test_apply_rejects_foreign_path(fibonacci):
     with pytest.raises(StructuralError):
         apply_path(fibonacci, (3,))
