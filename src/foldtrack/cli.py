@@ -137,6 +137,8 @@ def _experiment_trial(params):
 
 
 def cmd_experiment(args):
+    if not 1 <= args.rank <= 26:
+        raise ValueError("--rank must be in 1..26: generators are the letters a..z")
     params = [(args.seed, t, args.rank, args.length)
               for t in range(args.trials)]
     if args.jobs > 1:

@@ -22,8 +22,5 @@ class CapacityError(FoldtrackError):
 
 
 class NumericError(FoldtrackError):
-    """A numeric routine failed to converge within its iteration cap."""
-
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
+    """A floating-point result failed an exact check it must satisfy, such
+    as a Perron-Frobenius value outside its classical bounds."""

@@ -103,6 +103,9 @@ def make_graph(num_vertices, edge_ends, basepoint=None, marking=None,
             for p in g.marking:
                 if not p:
                     raise StructuralError("trivial marking path")
+                if 0 in p or min(p) < -g.num_edges or max(p) > g.num_edges:
+                    raise StructuralError(
+                        "marking names an edge outside 1..%d" % g.num_edges)
                 u, v = path_endpoints(g, p)
                 if u != g.basepoint or v != g.basepoint:
                     raise StructuralError("marking path not closed at basepoint")

@@ -22,9 +22,6 @@ __all__ = [
     "gamma", "gamma_hat", "maximal_invariant_filtration",
 ]
 
-PF_TOL = 1e-12
-PF_ITERATION_CAP = 100_000
-
 
 def lc(m):
     """Largest coefficient of a matrix (0 for empty)."""
@@ -58,89 +55,30 @@ class BlockStructure:
     order: tuple         # concatenated index order (filtration-compatible)
 
 
-def _scc(adjacency, n):
-    """Tarjan SCC, iterative; returns list of components (sets of indices)."""
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    comps = []
-    counter = [0]
-
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, iter(adjacency[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] is None:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(adjacency[w])))
-                    advanced = True
-                    break
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.add(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
 def block_structure(m):
     """Condense the digraph "k covers j when m[j,k] > 0" and order the SCCs
     so every block only covers blocks at lower levels (deterministic Kahn
-    order, smallest minimal index first)."""
+    order, smallest minimal index first).
+
+    The SCCs are the mutual-reachability classes of the reflexive-transitive
+    closure, formed by repeated boolean squaring."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("block structure needs a square matrix")
     n = m.shape[0]
-    adjacency = [list(np.nonzero(m[:, k])[0]) for k in range(n)]  # k -> j
-    comps = _scc(adjacency, n)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    # edges between components: c covers d when some k in c maps over j in d
-    covers = {ci: set() for ci in range(len(comps))}
-    for k in range(n):
-        for j in adjacency[k]:
-            if comp_of[k] != comp_of[j]:
-                covers[comp_of[k]].add(comp_of[j])
-    # Kahn: a block may be placed once everything it covers is placed.
-    placed = []
-    remaining = set(range(len(comps)))
-    key = {ci: min(comps[ci]) for ci in range(len(comps))}
-    while remaining:
-        ready = [ci for ci in remaining if covers[ci] <= set(placed)]
-        ready.sort(key=lambda ci: key[ci])
-        if not ready:
-            raise RuntimeError("cyclic condensation")  # unreachable
-        placed.append(ready[0])
-        remaining.discard(ready[0])
+    reach = (m.T > 0) | np.eye(n, dtype=bool)  # reach[k, j]: k reaches j
+    for _ in range(n.bit_length()):
+        reach = reach @ reach
+    mutual = reach & reach.T
+    # each block is named by its minimal index
+    left = [i for i in range(n) if not mutual[i, :i].any()]
     blocks = []
     kinds = []
-    for ci in placed:
-        idx = tuple(sorted(comps[ci]))
+    while left:
+        # ready: reaches no other unplaced block (reach is reflexive)
+        ready = reach[np.ix_(left, left)].sum(axis=1) == 1
+        rep = left.pop(int(np.argmax(ready)))
+        idx = tuple(int(i) for i in np.flatnonzero(mutual[rep]))
         blocks.append(idx)
         if len(idx) == 1 and m[idx[0], idx[0]] == 0:
             kinds.append("zero")
@@ -168,13 +106,12 @@ def period(m):
     m = np.asarray(m)
     if not is_irreducible(m):
         raise ValueError("period requires an irreducible matrix")
-    return _cyclic_classes(m)[0]
+    return _period(m)
 
 
-def _cyclic_classes(m):
-    """(period, cyclic classes) of an irreducible matrix, from one BFS out of
-    index 0: the period is the gcd of dist(v) + 1 - dist(w) over the arcs
-    v -> w, and class k holds the indices at distance k modulo the period."""
+def _period(m):
+    """Period of an irreducible matrix, from one BFS out of index 0: the gcd
+    of dist(v) + 1 - dist(w) over the arcs v -> w."""
     n = m.shape[0]
     adjacency = [list(np.nonzero(m[:, k])[0]) for k in range(n)]
     dist = [None] * n
@@ -190,11 +127,7 @@ def _cyclic_classes(m):
     for v in range(n):
         for w in adjacency[v]:
             g = math.gcd(g, dist[v] + 1 - dist[w])
-    p = max(g, 1)
-    classes = [[] for _ in range(p)]
-    for v in range(n):
-        classes[dist[v] % p].append(v)
-    return p, classes
+    return max(g, 1)
 
 
 def _is_permutation_cycle(m):
@@ -205,8 +138,7 @@ def _is_permutation_cycle(m):
 
 def pf_value(m):
     """Perron-Frobenius eigenvalue of an irreducible nonnegative integer
-    matrix by sum-normalized power iteration; imprimitive matrices are
-    handled by iterating M^p on a cyclic class.
+    matrix: the spectral radius, from LAPACK eigenvalues.
 
     The result is checked against the classical bounds
     lambda <= alpha * LC(M) and lambda^alpha >= LC(M).
@@ -222,37 +154,12 @@ def pf_value(m):
 def _pf_and_period(m):
     """pf_value and period of an integer matrix already known to be
     irreducible and not a permutation cycle."""
-    p, cls = _cyclic_classes(m)
-    if p == 1:
-        lam = _power_iteration(m.astype(float), PF_TOL, PF_ITERATION_CAP)
-    else:
-        mp = np.linalg.matrix_power(m.astype(object), p).astype(float)
-        sub = mp[np.ix_(cls[0], cls[0])]
-        lam = _power_iteration(sub, PF_TOL, PF_ITERATION_CAP) ** (1.0 / p)
+    lam = float(np.abs(np.linalg.eigvals(m)).max())
     alpha = m.shape[0]
     big = lc(m)
     if lam > alpha * big + 1e-6 or lam ** alpha < big * (1 - 1e-9):
         raise NumericError("Perron-Frobenius value violates its bounds")
-    return float(lam), p
-
-
-def _power_iteration(m, tol, cap):
-    n = m.shape[0]
-    if n == 1:
-        return float(m[0, 0])
-    v = np.ones(n) / n
-    for it in range(cap):
-        w = m @ v
-        s = w.sum()
-        if s == 0:
-            raise NumericError("power iteration hit the zero vector", iterations=it)
-        w /= s
-        # Converge on the eigenvector residual, not on successive sums: sum
-        # sequences can repeat a value early while v is far from the PF vector.
-        if np.max(np.abs(w - v)) <= tol:
-            return float(s)
-        v = w
-    raise NumericError("power iteration did not converge", iterations=cap)
+    return lam, _period(m)
 
 
 def charpoly(m):

@@ -134,6 +134,14 @@ def test_experiment_single_nielsen():
     assert row[4] in ("1", "NA")  # single Nielsen move: ratio 1 or no EG
 
 
+@pytest.mark.parametrize("rank", ["0", "27"])
+def test_experiment_rank_out_of_range_exit_2(rank):
+    proc = run_cli("experiment", "--trials", "1", "--rank", rank)
+    assert proc.returncode == 2
+    assert "--rank must be in 1..26" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_audit_command(tmp_path):
     out = tmp_path / "audit.json"
     proc = run_cli("audit", "--trials", "50", "--seed", "3", "--out", str(out))

@@ -114,6 +114,10 @@ def test_marked_graph_validation():
         make_graph(2, [(0, 0), (1, 1)], basepoint=0, marking=[(1,), (2,)])
     with pytest.raises(StructuralError):
         make_graph(1, [(0, 0), (0, 0)], basepoint=0, marking=[(1,)])
+    # letters must be signed edge ids: 0 is no edge, 5 and -3 do not exist
+    for bad in (0, 5, -3):
+        with pytest.raises(StructuralError):
+            make_graph(1, [(0, 0), (0, 0)], basepoint=0, marking=[(1,), (bad,)])
 
 
 @given(st.integers(2, 5))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foldtrack.automorphisms import expansion_pair, parse_automorphism
 from foldtrack.graph_map import make_graph_map
 from foldtrack.spectra import (
     block_structure, gamma, gamma_hat, gamma_hat_by_power, lc, l_total, mlog,
@@ -37,6 +38,60 @@ def test_block_order_respects_covering():
     m = np.array([[1, 1], [0, 1]])
     bs = block_structure(m)
     assert bs.order == (0, 1)
+    # {0} covers {2}; {1} covers nothing: {1} and {2} are both ready first,
+    # and the smaller minimal index wins
+    m = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 1]])
+    assert block_structure(m).blocks == ((1,), (2,), (0,))
+
+
+def _reach(m, k):
+    """Indices reachable from k along the arcs k -> j with m[j][k] > 0 (BFS)."""
+    seen = [k]
+    for v in seen:
+        seen.extend(j for j in range(len(m)) if m[j][v] > 0 and j not in seen)
+    return set(seen)
+
+
+square = st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=n, max_size=n),
+    min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square)
+def test_block_structure_matches_definition(m):
+    n = len(m)
+    reach = [_reach(m, k) for k in range(n)]
+    bs = block_structure(np.array(m))
+    # blocks are the mutual-reachability classes
+    classes = {tuple(sorted(j for j in reach[k] if k in reach[j]))
+               for k in range(n)}
+    assert sorted(bs.blocks) == sorted(classes)
+    assert bs.order == tuple(i for b in bs.blocks for i in b)
+
+    def covered(block):
+        return {j for k in block for j in range(n) if m[j][k] > 0} - set(block)
+
+    placed = set()
+    for pos, block in enumerate(bs.blocks):
+        # each block covers only earlier blocks ...
+        assert covered(block) <= placed
+        # ... and is the one with the smallest minimal index among those ready
+        ready = [b for b in bs.blocks[pos:] if covered(b) <= placed]
+        assert min(block) == min(min(b) for b in ready)
+        placed |= set(block)
+        zero = len(block) == 1 and m[block[0]][block[0]] == 0
+        assert bs.kinds[pos] == ("zero" if zero else "irreducible")
+
+
+def test_expansion_pair_digits():
+    # real roots of x^2 - x - 1, x^3 - x^2 - 1 and x^3 - x - 1
+    fib = expansion_pair(parse_automorphism("a->ab, b->a"))
+    assert math.isclose(fib.lam, GOLDEN, rel_tol=1e-14)
+    assert math.isclose(fib.mu, GOLDEN, rel_tol=1e-14)
+    pg = expansion_pair(parse_automorphism("a->ac, b->a, c->b"))
+    assert math.isclose(pg.lam, 1.4655712318767680267, rel_tol=1e-14)
+    assert math.isclose(pg.mu, 1.3247179572447460260, rel_tol=1e-14)
 
 
 def test_pf_values():
