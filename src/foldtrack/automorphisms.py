@@ -7,11 +7,12 @@ Text grammar: "a->ab, b->a" with letters a..z; inverses as uppercase or a
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, StructuralError
+from .errors import CapacityError, CertificationError, StructuralError
 from .folding import (
     FoldFactorization, InverseStats, controlled_inverse, factorize,
 )
@@ -23,9 +24,9 @@ from .graph_map import (
 )
 from .spectra import ExpansionSpectrum, gamma_hat, spectrum_report
 from .words import (
-    cyclic_reduce, generates_free_group,
-    invert_automorphism_words, reduce_word, simultaneous_conjugator,
-    substitute_reduced,
+    WORD_LENGTH_CAP, cyclic_reduce, generates_free_group,
+    invert_automorphism_words, invert_word, reduce_word,
+    simultaneous_conjugator, substitute_reduced,
 )
 
 __all__ = [
@@ -37,6 +38,8 @@ __all__ = [
 ]
 
 GROWTH_LENGTH_CAP = 10 ** 6
+# WORD_LENGTH_CAP (words) bounds every word built, growth iterates included:
+# substitute and random_automorphism raise CapacityError past it.
 
 
 @dataclass(frozen=True)
@@ -172,6 +175,26 @@ def rose_representative(aut):
     return GraphMap(rose, rose, (0,), aut.images)
 
 
+def _conjugate_by_letter(w, x):
+    """x^-1 w x for a reduced word w, reduced: only its end letters cancel."""
+    if not w:
+        return w
+    if w[0] == x:
+        return w[1:-1] if w[-1] == -x else w[1:] + (x,)
+    return (-x,) + w[:-1] if w[-1] == -x else (-x,) + w + (x,)
+
+
+def _letter_totals(ws, letters):
+    """Total length of the reduced words ws conjugated by each single letter
+    x, read off the end letters: each nonempty word gains 2, less 2 if it
+    starts with x and 2 more if it ends with x^-1."""
+    nonempty = [w for w in ws if w]
+    base = sum(map(len, ws)) + 2 * len(nonempty)
+    firsts = Counter(w[0] for w in nonempty)
+    lasts = Counter(w[-1] for w in nonempty)
+    return [base - 2 * (firsts[x] + lasts[-x]) for x in letters]
+
+
 def normalize_outer(aut):
     """Canonical outer representative: conjugate all images by the word
     minimizing total image length, ties by lexicographically least tuple.
@@ -179,43 +202,45 @@ def normalize_outer(aut):
     Total conjugate length is a sum of tree-distance functions of the
     conjugator, hence convex on the Cayley tree: single-letter descent finds
     the minimum and the minimizing conjugators form a connected plateau,
-    which is searched exhaustively for the lexicographic least tuple.
+    which is searched exhaustively for the lexicographic least tuple.  Each
+    letter's total comes from the images' end letters; only the images
+    conjugated by a letter of least total are built.
     """
     images = tuple(aut.images)
+    # conjugates of reduced words are reduced: only the input is reduced here
+    ws = tuple(reduce_word(w) for w in images)
 
     def total(ws):
         return sum(len(w) for w in ws)
 
-    def conj(ws, u):
-        iu = tuple(-a for a in reversed(u))
-        return tuple(reduce_word(iu + w + u) for w in ws)
+    def conj(ws, x):
+        return tuple(_conjugate_by_letter(w, x) for w in ws)
 
-    letters = [(s * l,) for l in range(1, aut.rank + 1) for s in (1, -1)]
+    letters = [s * l for l in range(1, aut.rank + 1) for s in (1, -1)]
     while True:
-        cur_t = total(images)
-        best = None
-        for u in letters:
-            cand = conj(images, u)
-            if total(cand) < cur_t and (best is None or total(cand) < total(best)
-                                        or (total(cand) == total(best) and cand < best)):
-                best = cand
-        if best is None:
+        totals = _letter_totals(ws, letters)
+        least = min(totals, default=None)
+        if least is None or least >= total(images):
             break
-        images = best
+        images = ws = min(conj(ws, x) for x, t in zip(letters, totals)
+                          if t == least)
     # exhaustive walk of the minimum plateau
     cur_t = total(images)
     seen = {images}
-    queue = [images]
+    queue = [(images, ws)]
     best = images
     while queue:
-        state = queue.pop()
+        state, ws = queue.pop()
         if state < best:
             best = state
-        for u in letters:
-            cand = conj(state, u)
-            if total(cand) == cur_t and cand not in seen:
+        totals = _letter_totals(ws, letters)
+        for x, t in zip(letters, totals):
+            if t != cur_t:
+                continue
+            cand = conj(ws, x)
+            if cand not in seen:
                 seen.add(cand)
-                queue.append(cand)
+                queue.append((cand, cand))
         if len(seen) > 10_000:
             break
     return Automorphism(aut.rank, best)
@@ -400,7 +425,7 @@ def random_automorphism(rank, length, rng, positive=False):
     """Seeded product of Nielsen transformations: x_i -> x_i x_j^(+-1),
     transpositions, and inversions (the latter two skipped when positive)."""
     images = [(i + 1,) for i in range(rank)]
-    for _ in range(length):
+    for step in range(length):
         kinds = ("mult",) if positive or rank == 1 else ("mult", "swap", "invert")
         kind = kinds[int(rng.integers(0, len(kinds)))] if rank > 1 else "invert"
         if kind == "mult":
@@ -409,8 +434,12 @@ def random_automorphism(rank, length, rng, positive=False):
             if j >= i:
                 j += 1
             eps = 1 if positive else (1 if rng.integers(0, 2) else -1)
-            tail = images[j] if eps > 0 else tuple(-a for a in reversed(images[j]))
+            tail = images[j] if eps > 0 else invert_word(images[j])
             images[i] = reduce_word(images[i] + tail)
+            if len(images[i]) > WORD_LENGTH_CAP:
+                raise CapacityError(
+                    "random automorphism image exceeds %d letters after %d "
+                    "of %d moves" % (WORD_LENGTH_CAP, step + 1, length))
             if not images[i]:
                 images[i] = (i + 1,)  # degenerate cancellation; reset petal
         elif kind == "swap":
@@ -421,7 +450,7 @@ def random_automorphism(rank, length, rng, positive=False):
             images[i], images[j] = images[j], images[i]
         else:
             i = int(rng.integers(0, rank))
-            images[i] = tuple(-a for a in reversed(images[i]))
+            images[i] = invert_word(images[i])
     return make_automorphism(images, certify=False)
 
 

@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Commands: spectrum, invert, ratio, experiment, audit, metric.
-Exit codes: 0 success, 2 input/certification error, 3 internal invariant
-violation (a lemma inequality failing is a bug, not a data condition).
+Exit codes: 0 success, 2 input/certification error or an input too large
+to process, 3 internal invariant violation (a lemma inequality failing is a
+bug, not a data condition).
 Set FOLDTRACK_LOG=DEBUG for diagnostics.
 """
 
@@ -139,6 +140,9 @@ def _experiment_trial(params):
 def cmd_experiment(args):
     if not 1 <= args.rank <= 26:
         raise ValueError("--rank must be in 1..26: generators are the letters a..z")
+    for flag in ("trials", "length"):
+        if getattr(args, flag) < 0:
+            raise ValueError("--%s must be nonnegative" % flag)
     params = [(args.seed, t, args.rank, args.length)
               for t in range(args.trials)]
     if args.jobs > 1:
@@ -289,7 +293,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CertificationError, StructuralError, ValueError, OSError) as exc:
+    except (CapacityError, CertificationError, StructuralError, ValueError,
+            OSError) as exc:
         log.error("%s", exc)
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INPUT

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, replace
 
 from .errors import StructuralError
-from .words import reduce_word
+from .words import invert_word, reduce_word
 
 __all__ = [
     "Graph", "make_graph", "rank", "components", "tighten", "reverse_path",
@@ -103,9 +103,6 @@ def make_graph(num_vertices, edge_ends, basepoint=None, marking=None,
             for p in g.marking:
                 if not p:
                     raise StructuralError("trivial marking path")
-                if 0 in p or min(p) < -g.num_edges or max(p) > g.num_edges:
-                    raise StructuralError(
-                        "marking names an edge outside 1..%d" % g.num_edges)
                 u, v = path_endpoints(g, p)
                 if u != g.basepoint or v != g.basepoint:
                     raise StructuralError("marking path not closed at basepoint")
@@ -150,30 +147,36 @@ def valences(g, edges=None):
 # -- edge paths --------------------------------------------------------------
 
 def path_endpoints(g, path):
-    """(init, term) of a nonempty endpoint-compatible path; raises otherwise."""
+    """(init, term) of a nonempty endpoint-compatible path; raises otherwise.
+
+    Every step is looked up in tables of signed edge ids, so a letter that
+    names no edge (0, or beyond +-E) raises StructuralError as well.
+    """
     if not path:
         raise StructuralError("empty path has no endpoints")
-    cur = g.init(path[0])
-    start = cur
-    for d in path:
-        u, v = g.endpoints(d)
-        if u != cur:
-            raise StructuralError("path steps not endpoint-compatible")
-        cur = v
-    return start, cur
+    inits, terms = {}, {}
+    for e, (u, v) in enumerate(g.edge_ends, start=1):
+        inits[e] = terms[-e] = u
+        terms[e] = inits[-e] = v
+    try:
+        starts = list(map(inits.__getitem__, path))
+        stops = list(map(terms.__getitem__, path))
+    except KeyError as exc:
+        raise StructuralError("path names edge %s outside +-1..+-%d"
+                              % (exc, g.num_edges)) from None
+    if starts[1:] != stops[:-1]:
+        raise StructuralError("path steps not endpoint-compatible")
+    return starts[0], stops[-1]
 
 
 def reverse_path(path):
-    return tuple(-d for d in reversed(path))
+    return invert_word(path)
 
 
 def tighten(g, path):
     """The reduced path freely homotopic rel endpoints; validates the input."""
     if path:
         path_endpoints(g, path)
-    for d in path:
-        if not 1 <= abs(d) <= g.num_edges:
-            raise StructuralError("unknown edge id %d" % d)
     return reduce_word(path)
 
 
@@ -381,18 +384,16 @@ def pi1_word(g, path, tree=None, gens=None):
     tree = spanning_tree(g) if tree is None else tree
     if gens is None:
         gens = pi1_generators(g, tree)
-    index = {e: i + 1 for i, e in enumerate(gens)}
-    out = []
-    for d in path:
-        e = abs(d)
-        if e in tree:
-            continue
-        letter = index[e] if d > 0 else -index[e]
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
+    letter = {}
+    for e in tree:
+        letter[e] = letter[-e] = 0
+    for i, e in enumerate(gens, start=1):
+        letter[e], letter[-e] = i, -i
+    try:
+        return reduce_word(tuple(filter(None, map(letter.__getitem__, path))))
+    except KeyError as exc:
+        raise StructuralError("path names edge %s outside the tree and the "
+                              "pi_1 generators" % exc) from None
 
 
 # -- JSON interchange ---------------------------------------------------------
@@ -423,7 +424,7 @@ def graph_from_json(data):
         ends = [(vmap[d["from"]], vmap[d["to"]]) for d in edges]
         marking = data.get("marking")
         if marking is not None:
-            marking = [tuple(signed[d] for d in p) for p in marking]
+            marking = [tuple(map(signed.__getitem__, p)) for p in marking]
         filtration = [frozenset(emap[e] for e in lev)
                       for lev in data.get("filtration") or ()]
         base = data.get("basepoint")

@@ -6,15 +6,35 @@ graphs (see graph.py), so the reduction helpers here are shared.
 """
 
 from collections import deque
+from itertools import chain
+from operator import add, neg
 
-from .errors import CapacityError, CertificationError
+from .errors import CapacityError, CertificationError, StructuralError
 
 # Search caps for the equal-length plateau phase of Nielsen reduction.
 _PLATEAU_STATE_CAP = 200_000
 
+# Longest word substitute and random_automorphism build: an input whose words
+# grow past it is refused with CapacityError before it exhausts memory (as a
+# tuple, 5 * 10^7 letters take 400 MB).
+WORD_LENGTH_CAP = 50_000_000
+
+# Words up to this length are reduced letter by letter: setting up the
+# scan for a cancelling pair costs more than the loop.
+_SHORT_WORD = 64
+
 
 def reduce_word(letters):
-    """Free reduction: cancel adjacent inverse pairs.  Returns a tuple."""
+    """Free reduction of a sequence: cancel adjacent inverse pairs.
+
+    Returns a tuple.  A long word is first scanned once for an adjacent
+    pair a, -a (their sum is 0); a reduced tuple is returned as it is,
+    without a copy.
+    """
+    if len(letters) > _SHORT_WORD:
+        w = letters if type(letters) is tuple else tuple(letters)
+        if 0 not in map(add, w, w[1:]):
+            return w
     out = []
     for a in letters:
         if out and out[-1] == -a:
@@ -25,7 +45,93 @@ def reduce_word(letters):
 
 
 def invert_word(w):
-    return tuple(-a for a in reversed(w))
+    return tuple(map(neg, reversed(w)))
+
+
+def _longest(n, same):
+    """Largest k <= n with same(0, k), by galloping then bisection.
+
+    same(lo, hi) compares positions lo..hi-1 and is only asked once
+    positions 0..lo-1 are known to match, so finding k compares O(k)
+    letters in O(log k) slice comparisons.
+    """
+    lo, step = 0, 1
+    while lo < n:
+        hi = min(lo + step, n)
+        if not same(lo, hi):
+            break
+        lo = hi
+        step *= 2
+    else:
+        return lo
+    hi -= 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if same(lo, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _cancellation(u, v):
+    """Length of the maximal cancellation in the product u*v."""
+    n = min(len(u), len(v))
+    if not n or u[-1] != -v[0]:
+        return 0
+    end = len(u)
+    return _longest(n, lambda lo, hi:
+                    u[end - hi:end - lo] == invert_word(v[lo:hi]))
+
+
+def max_common_prefix(u, v):
+    n = min(len(u), len(v))
+    if not n or u[0] != v[0]:
+        return 0
+    return _longest(n, lambda lo, hi: u[lo:hi] == v[lo:hi])
+
+
+def _common_suffix(u, v):
+    n = min(len(u), len(v))
+    if not n or u[-1] != v[-1]:
+        return 0
+    eu, ev = len(u), len(v)
+    return _longest(n, lambda lo, hi:
+                    u[eu - hi:eu - lo] == v[ev - hi:ev - lo])
+
+
+def _suffix_repeats(w, block):
+    """Max r with w ending in block repeated r times."""
+    b = len(block)
+    if b == 0:
+        return 0
+    end = len(w)
+    return _longest(end // b, lambda lo, hi:
+                    w[end - hi * b:end - lo * b] == block * (hi - lo))
+
+
+def _prefix_repeats(w, block):
+    """Max r with w starting with block repeated r times."""
+    b = len(block)
+    if b == 0:
+        return 0
+    return _longest(len(w) // b, lambda lo, hi:
+                    w[lo * b:hi * b] == block * (hi - lo))
+
+
+def _product(u, v):
+    """Reduced product of two reduced words: they cancel only at the seam."""
+    k = _cancellation(u, v)
+    return u[:len(u) - k] + v[k:] if k else u + v
+
+
+def _power(w, count):
+    """Reduced w^count (count >= 1) of a reduced word w = c y c^-1 with y
+    cyclically reduced: c y^count c^-1."""
+    if count == 1:
+        return w
+    t = _cancellation(w, w)
+    return w[:t] + w[t:len(w) - t] * count + w[len(w) - t:]
 
 
 def concat(*ws):
@@ -42,11 +148,8 @@ def concat(*ws):
 
 def cyclic_reduce(w):
     w = reduce_word(w)
-    lo, hi = 0, len(w)
-    while hi - lo >= 2 and w[lo] == -w[hi - 1]:
-        lo += 1
-        hi -= 1
-    return tuple(w[lo:hi])
+    k = _cancellation(w, w)
+    return w[k:len(w) - k] if k else w
 
 
 def cyclic_length(w):
@@ -58,27 +161,36 @@ def conjugate(w, u):
     return concat(u, w, invert_word(u))
 
 
+class _ImageTable(dict):
+    """Signed letter -> image word of an endomorphism; the image of -a is
+    inverted from the image of a the first time it is read."""
+
+    __slots__ = ()
+
+    def __missing__(self, a):
+        if a >= 0 or -a not in self:
+            raise StructuralError("letter %r names no generator" % (a,))
+        inverse = self[a] = invert_word(self[-a])
+        return inverse
+
+
 def substitute(w, images):
-    """Apply the endomorphism x_i -> images[i-1] to a word.  Not reduced."""
-    out = []
-    for a in w:
-        if a > 0:
-            out.extend(images[a - 1])
-        else:
-            out.extend(-b for b in reversed(images[-a - 1]))
-    return tuple(out)
+    """Apply the endomorphism x_i -> images[i-1] to a word.  Not reduced.
+
+    Raises CapacityError when the output would exceed WORD_LENGTH_CAP."""
+    table = _ImageTable(enumerate(images, 1))
+    parts = list(map(table.__getitem__, w))
+    if len(parts) * max(map(len, images), default=0) > WORD_LENGTH_CAP:
+        n = sum(map(len, parts))
+        if n > WORD_LENGTH_CAP:
+            raise CapacityError(
+                "substitution would build a %d-letter word (cap %d)"
+                % (n, WORD_LENGTH_CAP))
+    return tuple(chain.from_iterable(parts))
 
 
 def substitute_reduced(w, images):
     return reduce_word(substitute(w, images))
-
-
-def max_common_prefix(u, v):
-    n = min(len(u), len(v))
-    i = 0
-    while i < n and u[i] == v[i]:
-        i += 1
-    return i
 
 
 def _conjugator_core(w, letter):
@@ -157,45 +269,31 @@ def simultaneous_conjugator(ws, vs):
 # has the closed form w_i * w_j^(eps*count) (resp. left).
 
 
-def _cancellation(u, v):
-    """Length of the maximal cancellation in the product u*v."""
-    k = 0
-    n = min(len(u), len(v))
-    while k < n and u[len(u) - 1 - k] == -v[k]:
-        k += 1
-    return k
-
-
 def _apply_move(ws, move):
+    """Apply a move to a list of reduced words; the product cancels only at
+    its seam."""
     side, i, j, eps, count = move
-    wj = ws[j] if eps > 0 else invert_word(ws[j])
-    block = wj * count
+    block = _power(ws[j] if eps > 0 else invert_word(ws[j]), count)
+    ws[i] = _product(ws[i], block) if side == "R" else _product(block, ws[i])
+
+
+def _seam(side, eps, wi, x):
+    """Cancellation in wi * x^eps (side R) or x^eps * wi (side L), read off
+    the words without inverting x."""
     if side == "R":
-        ws[i] = concat(ws[i], block)
-    else:
-        ws[i] = concat(block, ws[i])
-
-
-def _suffix_repeats(w, block):
-    """Max r with w ending in block repeated r times."""
-    b = len(block)
-    if b == 0:
-        return 0
-    r = 0
-    pos = len(w)
-    while pos >= b and tuple(w[pos - b:pos]) == block:
-        r += 1
-        pos -= b
-    return r
+        return _cancellation(wi, x) if eps > 0 else _common_suffix(wi, x)
+    return _cancellation(x, wi) if eps > 0 else max_common_prefix(x, wi)
 
 
 def _best_strict_move(ws):
     """First move (deterministic scan order) that strictly shortens the total,
     batched to its maximal repeat count.
 
-    Batching is computed by run-counting rather than repeated concatenation so
-    that long geometric-progression words (marking twists) reduce in linear
-    time.
+    Batching counts the whole blocks w_j^-eps at the seam of w_i rather than
+    concatenating repeatedly, so that long geometric-progression words
+    (marking twists) reduce in linear time.  Each candidate is first judged
+    by its seam, which starts with the end letters; w_j is inverted only for
+    the move that is returned.
     """
     n = len(ws)
     for i in range(n):
@@ -203,33 +301,26 @@ def _best_strict_move(ws):
         if not wi:
             continue
         for j in range(n):
-            if i == j or not ws[j]:
+            x = ws[j]
+            if i == j or not x:
                 continue
-            lj = len(ws[j])
+            lj = len(x)
             for side in ("R", "L"):
                 for eps in (1, -1):
-                    wj = ws[j] if eps > 0 else invert_word(ws[j])
-                    inv_wj = invert_word(wj)
-                    if side == "R":
-                        c = _cancellation(wi, wj)
-                    else:
-                        c = _cancellation(wj, wi)
-                    if 2 * c <= lj:
+                    if 2 * _seam(side, eps, wi, x) <= lj:
                         continue
+                    inv_wj = invert_word(x) if eps > 0 else x
                     if side == "R":
                         full = _suffix_repeats(wi, inv_wj)
                     else:
-                        full = _suffix_repeats(invert_word(wi), wj)
+                        full = _prefix_repeats(wi, inv_wj)
                     if full == 0:
                         return (side, i, j, eps, 1)
                     # After stripping `full` whole blocks one more partial
                     # reduction may remain; probe it cheaply.
                     rest = wi[:len(wi) - full * lj] if side == "R" \
                         else wi[full * lj:]
-                    if side == "R":
-                        extra = 1 if 2 * _cancellation(rest, wj) > lj else 0
-                    else:
-                        extra = 1 if 2 * _cancellation(wj, rest) > lj else 0
+                    extra = 1 if 2 * _seam(side, eps, rest, x) > lj else 0
                     return (side, i, j, eps, full + extra)
     return None
 
@@ -310,8 +401,8 @@ def nielsen_reduce(words):
             break
         path, state = found
         moves.extend(path)
-        ws = [tuple(w) for w in state]
-    return tuple(tuple(w) for w in ws), moves
+        ws = list(state)
+    return tuple(ws), moves
 
 
 def generates_free_group(words, rank):

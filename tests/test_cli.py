@@ -142,6 +142,32 @@ def test_experiment_rank_out_of_range_exit_2(rank):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("flag,value",
+                         [("--trials", "-2"), ("--length", "-3")])
+def test_experiment_negative_count_exit_2(flag, value):
+    proc = run_cli("experiment", "--trials", "1", flag, value)
+    assert proc.returncode == 2
+    assert "error: %s must be nonnegative" % flag in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_metric_word_past_length_cap_exit_2(tmp_path):
+    """The difference map between two roses twisted 10^4 times in opposite
+    petals has an edge image of about 10^8 letters: refused up front."""
+    from foldtrack.graph import dump_graph, make_graph
+    m = 10_000
+    rose = [(0, 0)] * 2
+    g = make_graph(1, rose, basepoint=0, marking=[(1,), (2,) + (1,) * m])
+    h = make_graph(1, rose, basepoint=0, marking=[(1,) + (2,) * m, (2,)])
+    g_path, h_path = tmp_path / "g.json", tmp_path / "h.json"
+    dump_graph(g, g_path)
+    dump_graph(h, h_path)
+    proc = run_cli("metric", str(g_path), str(h_path))
+    assert proc.returncode == 2
+    assert "error: substitution would build a" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_audit_command(tmp_path):
     out = tmp_path / "audit.json"
     proc = run_cli("audit", "--trials", "50", "--seed", "3", "--out", str(out))
