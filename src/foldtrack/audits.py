@@ -153,8 +153,7 @@ def pg_chain(rng, rank=3, length=None):
         x = int(rng.integers(2, rank + 1))
         d1 = x if rng.integers(0, 2) else -x
         d2 = 1 if rng.integers(0, 2) else -1
-        spec = FoldSpec(vertex=0, d1=d1, d2=d2, prefix_len=1,
-                        full1=False, full2=True, case=1)
+        spec = FoldSpec(vertex=0, d1=d1, d2=d2, prefix_len=1, case=1)
         record = apply_fold_move(cur, spec)
         records.append(record)
         cur = record.graph_star

@@ -6,6 +6,7 @@ Text grammar: "a->ab, b->a" with letters a..z; inverses as uppercase or a
 ^-1 suffix ("b^-1 a" and "B a" parse the same).
 """
 
+import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -14,7 +15,8 @@ import numpy as np
 
 from .errors import CapacityError, CertificationError, StructuralError
 from .folding import (
-    FoldFactorization, InverseStats, controlled_inverse, factorize,
+    FoldFactorization, InverseStats, clean_factorize, controlled_inverse,
+    factorize,
 )
 from .graph import (
     make_graph, pi1_generators, pi1_word, spanning_tree, tree_path,
@@ -37,7 +39,10 @@ __all__ = [
     "expansion_pair", "ExpansionPair", "expansion_report", "normalize_outer",
 ]
 
+log = logging.getLogger("foldtrack")
+
 GROWTH_LENGTH_CAP = 10 ** 6
+PLATEAU_STATE_CAP = 10_000  # normalize_outer's plateau walk warns and stops
 # WORD_LENGTH_CAP (words) bounds every word built, growth iterates included:
 # substitute and random_automorphism raise CapacityError past it.
 
@@ -241,7 +246,9 @@ def normalize_outer(aut):
             if cand not in seen:
                 seen.add(cand)
                 queue.append((cand, cand))
-        if len(seen) > 10_000:
+        if len(seen) > PLATEAU_STATE_CAP:
+            log.warning("normalize_outer stopped at the plateau cap of %d "
+                        "states (rank %d)", PLATEAU_STATE_CAP, aut.rank)
             break
     return Automorphism(aut.rank, best)
 
@@ -459,18 +466,18 @@ def random_automorphism(rank, length, rng, positive=False):
 # ---------------------------------------------------------------------------
 
 def fold_inverse(aut):
-    """Controlled inverse through the fold factorization of the rose map.
+    """Controlled inverse through clean_factorize of the rose map.
 
     Returns (inverse automorphism, factorization, stats).
     """
-    return _fold_inverse_of(tighten_map(rose_representative(aut)))
+    return _fold_inverse_of(
+        clean_factorize(tighten_map(rose_representative(aut))))
 
 
-def _fold_inverse_of(f):
-    """f is a tightened rose map, so its controlled inverse g is a tightened
-    self map of the same rose: g's edge images are the generator images of
-    the inverse, already certified by factorize."""
-    fact = factorize(f)
+def _fold_inverse_of(fact):
+    """fact factors a tightened rose map, so its controlled inverse g is a
+    tightened self map of the same rose: g's edge images are the generator
+    images of the inverse, already certified by factorize."""
     g, stats = controlled_inverse(fact)
     return normalize_outer(Automorphism(len(g.edge_map), g.edge_map)), fact, stats
 
@@ -516,7 +523,7 @@ def expansion_pair(aut):
     rose maps."""
     phi = normalize_outer(aut)
     f = tighten_map(rose_representative(phi))
-    inv, fact, stats = _fold_inverse_of(f)
+    inv, fact, stats = _fold_inverse_of(factorize(f))
     fi = tighten_map(rose_representative(inv))
     return ExpansionPair(phi, inv, f, fi, fact, stats, gamma_hat(f),
                          gamma_hat(fi), check_train_track(f),

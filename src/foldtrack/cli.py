@@ -22,7 +22,7 @@ from .automorphisms import (
     random_automorphism, rose_representative,
 )
 from .errors import CapacityError, CertificationError, FoldtrackError, StructuralError
-from .folding import factorize, controlled_inverse
+from .folding import clean_factorize, controlled_inverse
 from .graph import graph_to_json, load_graph
 from .graph_map import map_from_json, map_to_json, tighten_map
 from .metric import estimate_d
@@ -93,7 +93,7 @@ def cmd_invert(args):
     if os.path.exists(args.input):
         with open(args.input) as fh:
             f = map_from_json(json.load(fh))
-        fact = factorize(tighten_map(f))
+        fact = clean_factorize(f)
         g, stats = controlled_inverse(fact)
         payload = {"inverse_map": map_to_json(g)}
     else:
@@ -106,6 +106,8 @@ def cmd_invert(args):
         "inverse_lc": stats.lc,
         "stage_lcs": list(stats.stage_lcs),
         "lc_product_bound_ok": stats.within_bound,
+        "clean_outcome": fact.clean_outcome,
+        "clean_steps": fact.clean_steps,
         "factorization": _factorization_dump(fact),
     })
     if args.out:

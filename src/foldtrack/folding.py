@@ -9,11 +9,11 @@ which of the two segments are full edges; that pattern is the case split:
   case 2:  both proper                      (blow up the base vertex)
   case 3:  both full                        (delete e1, identify endpoints)
 
-Every inverse q has LC(M(q)) = 1 and q o p induces the identity outer
-automorphism.
+Every inverse q has LC(M(q)) = 1, except a case-3 fold flagged
+case3-loop-at-v1 (LC = 2), and q o p induces the identity outer automorphism.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ __all__ = [
     "FoldSpec", "FoldRecord", "FoldFactorization", "find_fold", "apply_fold",
     "apply_fold_move", "fold_move", "invert_fold",
     "invert_homeomorphism",
-    "is_homeomorphism", "factorize", "controlled_inverse",
+    "is_homeomorphism", "factorize", "clean_factorize", "controlled_inverse",
     "folds_into_lower_strata", "certify_homotopy_equivalence",
     "collapse_edges", "vertex_bound", "edge_bound",
 ]
@@ -50,15 +50,12 @@ def edge_bound(n):
 @dataclass(frozen=True)
 class FoldSpec:
     """A normalized fold candidate.  d1/d2 are signed edge ids out of vertex,
-    prefix_len the length of the shared image prefix; full1/full2 say whether
-    the folded segments are whole edges."""
+    prefix_len the length of the shared image prefix."""
 
     vertex: int
     d1: int
     d2: int
     prefix_len: int
-    full1: bool
-    full2: bool
     case: int
     flags: tuple = ()
 
@@ -83,6 +80,9 @@ class FoldFactorization:
     records: tuple            # FoldRecord per fold, in application order
     theta: GraphMap           # terminal homeomorphism K^k -> G'
     theta_inverse: GraphMap   # its explicit inverse
+    # clean_factorize's search: clean | none-exists | budget; else not-run
+    clean_outcome: str = "not-run"
+    clean_steps: int = 0
 
     @property
     def fold_count(self):
@@ -166,9 +166,7 @@ def _normalize_spec(f, v, da, db):
     else:
         case = 2
         d1, d2 = sorted((da, db))
-    full1 = c == len(f.image(d1))
-    full2 = c == len(f.image(d2))
-    return FoldSpec(v, d1, d2, c, full1, full2, case, tuple(flags))
+    return FoldSpec(v, d1, d2, c, case, tuple(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +347,8 @@ def apply_fold(f, spec):
     c = spec.prefix_len
     if pa[:c] != pb[:c]:
         raise StructuralError("fold spec does not match the map")
-    gstar_raw, p, q = fold_move(g, spec)
-    gstar, push_flags = _push_graph_data(g, gstar_raw, p)
-    p = GraphMap(g, gstar, p.vertex_map, p.edge_map)
-    q = GraphMap(gstar, g, q.vertex_map, q.edge_map)
+    record = apply_fold_move(g, spec)
+    gstar = record.graph_star
 
     m1, m2 = abs(spec.d1), abs(spec.d2)
     h = f.codomain
@@ -389,7 +385,6 @@ def apply_fold(f, spec):
 
     if edgelet_count(f1) >= edgelet_count(f):
         raise StructuralError("fold failed to decrease the edgelet count")
-    record = FoldRecord(spec, spec.case, p, q, tuple(spec.flags) + push_flags)
     return record, f1
 
 
@@ -479,17 +474,27 @@ def invert_homeomorphism(f):
 CLEAN_SEARCH_BUDGET = 50_000
 
 
+def _fold_greedily(f):
+    """Fold in find_fold's order until f is an immersion: (records, terminal).
+    apply_fold raises unless the edgelet count drops, so the loop ends."""
+    records = []
+    while (spec := find_fold(f)) is not None:
+        record, f = apply_fold(f, spec)
+        records.append(record)
+    return records, f
+
+
 def _clean_factorize(f, budget=CLEAN_SEARCH_BUDGET):
     """Depth-first search for a factorization avoiding dirty case-3 folds
-    (the ones whose inverse would have LC = 2).  Returns (records, terminal)
-    or None when the budget runs out or no clean sequence exists."""
+    (inverse LC = 2).  Returns (outcome, states popped, found): "clean" with
+    (records, terminal), or "none-exists" / "budget" with None."""
     seen = set()
     stack = [(f, ())]
     steps = 0
     while stack:
+        if steps == budget:
+            return "budget", steps, None
         steps += 1
-        if steps > budget:
-            return None
         cur, recs = stack.pop()
         key = (cur.domain.edge_ends, cur.vertex_map, cur.edge_map)
         if key in seen:
@@ -498,7 +503,7 @@ def _clean_factorize(f, budget=CLEAN_SEARCH_BUDGET):
         cands = _fold_candidates(cur)
         if not cands:
             if _try_invert_homeo(cur) is not None:
-                return recs, cur
+                return "clean", steps, (recs, cur)
             continue
         # push in reverse so the deterministic first candidate pops first
         branches = []
@@ -512,52 +517,46 @@ def _clean_factorize(f, budget=CLEAN_SEARCH_BUDGET):
                 continue
             branches.append((nxt, recs + (record,)))
         stack.extend(reversed(branches))
-    return None
+    return "none-exists", steps, None
 
 
 def factorize(f):
-    """Factor f into folds followed by a homeomorphism.
+    """Factor f into folds, in find_fold's greedy order, followed by a
+    homeomorphism.
 
-    The edgelet count strictly decreases at every fold, so at most
-    sum(|f(e)|) folds occur.  Raises CertificationError (with the residual
-    map attached) when the terminal immersion is not a homeomorphism, which
-    happens exactly when f was not a homotopy equivalence.
-
-    The greedy pass defers dirty case-3 folds; if some remain in the result,
-    a bounded backtracking search looks for a factorization without any
-    (keeping LC(M(q)) = 1 for every record), and the greedy factorization
-    is kept only when that search fails.
+    Raises CertificationError (with the residual map attached) when the
+    terminal immersion is not a homeomorphism, which happens exactly when f
+    was not a homotopy equivalence.  A record flagged case3-loop-at-v1 has
+    an inverse with LC = 2; clean_factorize looks for an order without one.
     """
     f = tighten_map(f)
     if any(not p for p in f.edge_map):
         raise CertificationError(
             "cannot factor a map with collapsed edges", residual=f)
-    records = []
-    cur = f
-    budget = edgelet_count(f) + 1
-    while True:
-        if budget <= 0:
-            raise StructuralError("fold loop failed to terminate")
-        budget -= 1
-        spec = find_fold(cur)
-        if spec is None:
-            break
-        record, cur = apply_fold(cur, spec)
-        records.append(record)
+    records, cur = _fold_greedily(f)
     theta_inv = _try_invert_homeo(cur)
     if theta_inv is None:
         raise CertificationError(
             "terminal immersion is not a homeomorphism; "
             "the input was not a homotopy equivalence", residual=cur)
-    if any("case3-loop-at-v1" in r.flags for r in records):
-        found = _clean_factorize(f)
-        if found is not None:
-            recs, terminal = found
-            records = list(recs)
-            theta_inv = _try_invert_homeo(terminal)
-            cur = terminal
     return FoldFactorization(f.domain, f.codomain, tuple(records), cur,
                              theta_inv)
+
+
+def clean_factorize(f):
+    """factorize, then, if a greedy record is flagged, the search for an
+    order in which every record has LC(M(q)) = 1.  The greedy records are
+    kept when it finds none; clean_outcome says why."""
+    f = tighten_map(f)
+    fact = factorize(f)
+    if not any("case3-loop-at-v1" in r.flags for r in fact.records):
+        return replace(fact, clean_outcome="clean")
+    outcome, steps, found = _clean_factorize(f)
+    if found is None:
+        return replace(fact, clean_outcome=outcome, clean_steps=steps)
+    records, terminal = found
+    return FoldFactorization(f.domain, f.codomain, records, terminal,
+                             _try_invert_homeo(terminal), outcome, steps)
 
 
 @dataclass(frozen=True)
@@ -575,10 +574,10 @@ def controlled_inverse(fact):
     Returns (g, stats): stats is the LC bookkeeping against the
     Edge_n^{k-1} * prod LC(M(q_i)) product bound.
     """
-    g = fact.theta_inverse
+    # reduction commutes with substitution: per-stage tightening, same g
+    g = tighten_map(fact.theta_inverse)
     for record in reversed(fact.records):
-        g = compose(record.inverse, g)
-    g = tighten_map(g)
+        g = tighten_map(compose(record.inverse, g))
     stage_lcs = [int(transition_matrix(r.inverse).entries.max(initial=0))
                  for r in fact.records]
     stage_lcs.append(int(transition_matrix(fact.theta_inverse).entries.max(initial=0)))
@@ -713,17 +712,10 @@ def certify_homotopy_equivalence(f):
             rf = GraphMap(g2, rf.codomain, tuple(vmap), tuple(emap))
         if rank(rf.domain) != rank(rf.codomain):
             return False
-        cur = rf
-        budget = edgelet_count(cur) + 1
-        while budget:
-            budget -= 1
-            spec = find_fold(cur)
-            if spec is None:
-                break
-            try:
-                _, cur = apply_fold(cur, spec)
-            except StructuralError:
-                return False
+        try:
+            _, cur = _fold_greedily(rf)
+        except StructuralError:
+            return False
         if not _terminal_is_embedding(cur):
             return False
         image = set()

@@ -114,9 +114,9 @@ def test_acceptance_3_fold_inverse_roundtrip():
 
 def test_acceptance_3_fold_record_lc():
     """Every fold record has LC(M(q)) = 1: a case-3 fold that merges a
-    loop-carrying vertex would force LC = 2, so factorize backtracks to a
-    fold order avoiding such merges (see the README's "Notes on
-    guarantees")."""
+    loop-carrying vertex would force LC = 2, so fold_inverse runs
+    clean_factorize, which backtracks to a fold order avoiding such merges
+    (see the README's "Notes on guarantees")."""
     if not SUITE3:
         _fold_inverse_suite()
     lc_violations = SUITE3.get("lc_violations", None)

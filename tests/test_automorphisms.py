@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from foldtrack.errors import CertificationError, StructuralError
 from foldtrack.automorphisms import (
-    Automorphism, check_train_track, compose_automorphisms, expansion_report,
-    fold_inverse, format_automorphism, is_inner, nielsen_inverse,
-    normalize_outer, parse_automorphism, power, random_automorphism,
-    read_automorphism, rose_representative, word_growth_rate,
+    Automorphism, check_train_track, compose_automorphisms, expansion_pair,
+    expansion_report, fold_inverse, format_automorphism, is_inner,
+    nielsen_inverse, normalize_outer, parse_automorphism, power,
+    random_automorphism, read_automorphism, rose_representative,
+    word_growth_rate,
 )
 from foldtrack.graph_map import compose, identity_map, tighten_map, transition_matrix
 from foldtrack.spectra import gamma
@@ -269,3 +270,27 @@ def test_roundtrip_inner_500_seeded():
         inv, _, _ = fold_inverse(aut)
         comp = compose_automorphisms(inv, aut)
         assert is_inner(list(comp.images))
+
+
+def test_expansion_pair_runs_no_clean_order_search(monkeypatch):
+    """lambda and mu come from the greedy factorization: the clean-order
+    search only changes LC bookkeeping, which expansion_pair does not claim."""
+    import foldtrack.folding as folding
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("expansion_pair ran the clean-order search")
+
+    monkeypatch.setattr(folding, "_clean_factorize", no_search)
+    for text in ("a->a, b->b^-1 db, c->ddb, d->c^-1", "a->ab, b->a"):
+        pair = expansion_pair(parse_automorphism(text))
+        assert pair.factorization.clean_outcome == "not-run"
+
+
+def test_normalize_outer_plateau_cap_warns(monkeypatch, caplog):
+    import foldtrack.automorphisms as automorphisms
+    # the minimum plateau of Fibonacci holds (ab, a) and (ba, a)
+    monkeypatch.setattr(automorphisms, "PLATEAU_STATE_CAP", 1)
+    with caplog.at_level("WARNING", logger="foldtrack"):
+        normalize_outer(parse_automorphism("a->ab, b->a"))
+    assert any("plateau cap of 1 states (rank 2)" in r.getMessage()
+               for r in caplog.records)

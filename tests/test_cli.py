@@ -42,6 +42,19 @@ def test_invert_command(tmp_path):
     assert dump["inverse_lc"] == 1
     assert dump["lc_product_bound_ok"] is True
     assert dump["factorization"][0]["case"] == 1
+    assert (dump["clean_outcome"], dump["clean_steps"]) == ("clean", 0)
+
+
+def test_invert_reports_clean_search_outcome(tmp_path):
+    # every fold order of this map merges two loop-carrying vertices
+    out = tmp_path / "dump.json"
+    proc = run_cli("invert", "a->a, b->b^-1 db, c->ddb, d->c^-1",
+                   "--out", str(out))
+    assert proc.returncode == 0
+    dump = json.loads(out.read_text())
+    assert dump["clean_outcome"] == "none-exists"
+    assert dump["clean_steps"] > 0
+    assert dump["inverse_lc"] == 2
 
 
 def test_invert_parageometric():
@@ -67,6 +80,7 @@ def test_invert_map_file(tmp_path):
     assert proc.returncode == 0
     dump = json.loads(out.read_text())
     assert dump["inverse_map"]["edge_map"] == {"1": [2], "2": [-2, 1]}
+    assert dump["clean_outcome"] == "clean"
 
 
 def _fib_map_json():

@@ -174,8 +174,7 @@ def test_folds_into_lower_strata():
     # a fold of two stratum-2 edges is not into lower strata
     rose = make_graph(1, [(0, 0)] * 3, basepoint=0, marking=[(1,), (2,), (3,)],
                       filtration=[{1}, {1, 2, 3}])
-    spec = FoldSpec(vertex=0, d1=2, d2=3, prefix_len=1, full1=False,
-                    full2=True, case=1)
+    spec = FoldSpec(vertex=0, d1=2, d2=3, prefix_len=1, case=1)
     record = apply_fold_move(rose, spec)
     assert not folds_into_lower_strata(record, 2)
 
@@ -272,7 +271,8 @@ def test_forced_loop_merge_has_lc_two():
     from foldtrack.spectra import lc
     aut = parse_automorphism("a->a, b->b^-1 db, c->ddb, d->c^-1")
     f = tighten_map(rose_representative(aut))
-    assert _clean_factorize(f, budget=2_000_000) is None
+    outcome, _, found = _clean_factorize(f, budget=2_000_000)
+    assert outcome == "none-exists" and found is None
     fact = factorize(f)
     bad = [r for r in fact.records
            if lc(transition_matrix(r.inverse).entries) != 1]
@@ -284,6 +284,39 @@ def test_forced_loop_merge_has_lc_two():
     # the controlled inverse is still correct
     g, _ = controlled_inverse(fact)
     assert outer_trivial(tighten_map(compose(g, f)))
+
+
+def test_clean_factorize_reports_search_outcome():
+    """factorize never searches; clean_factorize says why its search
+    stopped: a clean order found, none exists, or the budget ran out."""
+    from foldtrack.automorphisms import parse_automorphism, rose_representative
+    from foldtrack.folding import _clean_factorize, clean_factorize
+
+    def rose_map(text):
+        return tighten_map(rose_representative(parse_automorphism(text)))
+
+    def flagged(fact):
+        return sum("case3-loop-at-v1" in r.flags for r in fact.records)
+
+    # greedy order dirty, a clean order exists
+    f = rose_map("a->ac^-1, b->b, c->ca^-1 a^-1")
+    greedy = factorize(f)
+    assert flagged(greedy) == 1
+    assert (greedy.clean_outcome, greedy.clean_steps) == ("not-run", 0)
+    fact = clean_factorize(f)
+    assert fact.clean_outcome == "clean" and fact.clean_steps > 0
+    assert flagged(fact) == 0
+    g, _ = controlled_inverse(fact)
+    assert outer_trivial(tighten_map(compose(g, f)))
+    assert _clean_factorize(f, budget=1) == ("budget", 1, None)
+    # no clean order: the greedy records are kept
+    forced = rose_map("a->a, b->b^-1 db, c->ddb, d->c^-1")
+    fact = clean_factorize(forced)
+    assert fact.clean_outcome == "none-exists" and fact.clean_steps > 0
+    assert fact.records == factorize(forced).records
+    # greedy order already clean: nothing to search
+    fib = clean_factorize(rose_map("a->ab, b->a"))
+    assert (fib.clean_outcome, fib.clean_steps) == ("clean", 0)
 
 
 @settings(max_examples=30, deadline=None)
