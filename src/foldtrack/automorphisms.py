@@ -19,7 +19,7 @@ from .folding import (
     factorize,
 )
 from .graph import (
-    make_graph, pi1_generators, pi1_word, spanning_tree, tree_path,
+    Graph, pi1_generators, pi1_word, spanning_tree, tree_path,
 )
 from .graph_map import (
     GraphMap, apply_path, direction_map, tighten_map, transition_matrix,
@@ -169,9 +169,10 @@ def format_automorphism(aut):
 # ---------------------------------------------------------------------------
 
 def rose_graph(n):
-    """The rose R_n with identity marking."""
-    return make_graph(1, [(0, 0)] * n, basepoint=0,
-                      marking=[(i,) for i in range(1, n + 1)])
+    """The rose R_n with identity marking.  Built directly: every petal is
+    a loop at the one vertex, so there is nothing to validate."""
+    return Graph(1, ((0, 0),) * n, basepoint=0,
+                 marking=tuple((i,) for i in range(1, n + 1)))
 
 
 def rose_representative(aut):

@@ -101,16 +101,17 @@ def cmd_invert(args):
         inv, fact, stats = fold_inverse(aut)
         payload = {"inverse": format_automorphism(inv)}
         sys.stdout.write(format_automorphism(inv) + "\n")
-    payload.update({
-        "fold_count": fact.fold_count,
-        "inverse_lc": stats.lc,
-        "stage_lcs": list(stats.stage_lcs),
-        "lc_product_bound_ok": stats.within_bound,
-        "clean_outcome": fact.clean_outcome,
-        "clean_steps": fact.clean_steps,
-        "factorization": _factorization_dump(fact),
-    })
     if args.out:
+        # the dump reads every stage's graph, so it is built only when written
+        payload.update({
+            "fold_count": fact.fold_count,
+            "inverse_lc": stats.lc,
+            "stage_lcs": list(stats.stage_lcs),
+            "lc_product_bound_ok": stats.within_bound,
+            "clean_outcome": fact.clean_outcome,
+            "clean_steps": fact.clean_steps,
+            "factorization": _factorization_dump(fact),
+        })
         _emit_json(payload, args.out)
     if not stats.within_bound:
         log.error("controlled inverse exceeded the LC product bound")
@@ -145,10 +146,14 @@ def cmd_experiment(args):
     for flag in ("trials", "length"):
         if getattr(args, flag) < 0:
             raise ValueError("--%s must be nonnegative" % flag)
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     params = [(args.seed, t, args.rank, args.length)
               for t in range(args.trials)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a worker per trial at most, and no more than the machine has cores
+    workers = min(args.jobs, len(params), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_experiment_trial, params))
     else:
         results = [_experiment_trial(p) for p in params]

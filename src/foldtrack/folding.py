@@ -11,21 +11,27 @@ which of the two segments are full edges; that pattern is the case split:
 
 Every inverse q has LC(M(q)) = 1, except a case-3 fold flagged
 case3-loop-at-v1 (LC = 2), and q o p induces the identity outer automorphism.
+
+A factorization folds one mutable state (_FoldState) in place: a fold
+changes the ends and images of the directions it folds and nothing else.
+The records it leaves hold the fold spec and flags; the quotient, the stage
+inverse and the folded graph with its transported marking are built when
+first read.  controlled_inverse composes the stage inverses edge by edge.
 """
 
+import logging
+from collections import Counter, deque
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
+from operator import neg
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CertificationError, StructuralError
-from .graph import (
-    Graph, rank, reverse_path, subgraph_components, subgraph_rank, frontier,
-)
-from .graph_map import (
-    GraphMap, apply_path, compose, direction_map, edgelet_count,
-    identity_map, is_tight, tighten_map, transition_matrix,
-)
-from .words import max_common_prefix, reduce_word
+from .graph import Graph, rank, subgraph_rank, frontier
+from .graph_map import GraphMap, apply_path, identity_map, is_tight, tighten_map
+from .words import _longest, invert_word, reduce_word
 
 __all__ = [
     "FoldSpec", "FoldRecord", "FoldFactorization", "find_fold", "apply_fold",
@@ -35,6 +41,8 @@ __all__ = [
     "folds_into_lower_strata", "certify_homotopy_equivalence",
     "collapse_edges", "vertex_bound", "edge_bound",
 ]
+
+log = logging.getLogger("foldtrack")
 
 
 def vertex_bound(n):
@@ -47,8 +55,7 @@ def edge_bound(n):
     return max(n + vertex_bound(n) - 1, 1)
 
 
-@dataclass(frozen=True)
-class FoldSpec:
+class FoldSpec(NamedTuple):
     """A normalized fold candidate.  d1/d2 are signed edge ids out of vertex,
     prefix_len the length of the shared image prefix."""
 
@@ -60,17 +67,60 @@ class FoldSpec:
     flags: tuple = ()
 
 
-@dataclass(frozen=True)
 class FoldRecord:
-    spec: FoldSpec
-    case: int
-    quotient: GraphMap        # p : G -> G*
-    inverse: GraphMap         # q : G* -> G
-    flags: tuple = ()
+    """One fold of a sequence: spec and flags, set when the fold is made,
+    and the quotient p : G -> G*, the stage inverse q : G* -> G and G*,
+    built on first access.  G is the graph the sequence started from,
+    carried through the folds before this one with its basepoint, marking
+    and filtration."""
+
+    __slots__ = ("spec", "flags", "_prev", "_maps")
+
+    def __init__(self, spec, flags, prev):
+        self.spec = spec
+        self.flags = flags
+        self._prev = prev      # the record before, or the graph folded first
+        self._maps = None      # (p, q) once built
+
+    @property
+    def case(self):
+        return self.spec.case
+
+    @property
+    def quotient(self):
+        return self._built()[0]
+
+    @property
+    def inverse(self):
+        return self._built()[1]
 
     @property
     def graph_star(self):
         return self.quotient.codomain
+
+    def _built(self):
+        if self._maps is None:
+            pending, r = [], self
+            while isinstance(r, FoldRecord) and r._maps is None:
+                pending.append(r)
+                r = r._prev
+            g = r if isinstance(r, Graph) else r._maps[0].codomain
+            for r in reversed(pending):
+                r._maps = _stage_maps(g, r.spec)
+                g = r._maps[0].codomain
+        return self._maps
+
+    def __eq__(self, other):
+        if not isinstance(other, FoldRecord):
+            return NotImplemented
+        return (self.spec, self.flags, self._built()) == \
+            (other.spec, other.flags, other._built())
+
+    def __hash__(self):
+        return hash((self.spec, self.flags))
+
+    def __repr__(self):
+        return "FoldRecord(spec=%r, flags=%r)" % (self.spec, self.flags)
 
 
 @dataclass(frozen=True)
@@ -78,8 +128,8 @@ class FoldFactorization:
     source: Graph
     target: Graph
     records: tuple            # FoldRecord per fold, in application order
-    theta: GraphMap           # terminal homeomorphism K^k -> G'
-    theta_inverse: GraphMap   # its explicit inverse
+    terminal: GraphMap        # K^k -> G' on the bare graph K^k
+    terminal_inverse: GraphMap
     # clean_factorize's search: clean | none-exists | budget; else not-run
     clean_outcome: str = "not-run"
     clean_steps: int = 0
@@ -88,9 +138,348 @@ class FoldFactorization:
     def fold_count(self):
         return len(self.records)
 
+    @cached_property
+    def theta(self):
+        """The terminal homeomorphism, on K^k with its transported marking."""
+        k = self.records[-1].graph_star if self.records else self.source
+        t = self.terminal
+        return GraphMap(k, t.codomain, t.vertex_map, t.edge_map)
+
+    @cached_property
+    def theta_inverse(self):
+        t = self.terminal_inverse
+        return GraphMap(t.domain, self.theta.domain, t.vertex_map, t.edge_map)
+
 
 # ---------------------------------------------------------------------------
-# fold detection
+# the fold engine
+# ---------------------------------------------------------------------------
+#
+# An edge image is a view (buf, lo, hi, rev) of a tuple buf: the letters
+# buf[lo:hi], read backwards and inverted when rev is set.  A fold cuts a
+# prefix off a view or turns it round without copying letters.
+
+def _oriented(view, d):
+    """The view of edge |d| read along the signed direction d."""
+    return view if d > 0 else (view[0], view[1], view[2], not view[3])
+
+
+def _letters(view, i, j):
+    """Letters i..j-1 of a view, as a tuple."""
+    buf, lo, hi, rev = view
+    return invert_word(buf[hi - j:hi - i]) if rev else buf[lo + i:lo + j]
+
+
+def _cut(view, i, j):
+    """The view of letters i..j-1."""
+    buf, lo, hi, rev = view
+    return (buf, hi - j, hi - i, True) if rev else (buf, lo + i, lo + j, False)
+
+
+def _ends_of(ends, d):
+    """(init, term) of the signed edge d."""
+    u, v = ends[abs(d) - 1]
+    return (u, v) if d > 0 else (v, u)
+
+
+def _fold_vertices(ends, spec):
+    """(v0, v1, v2): the common initial vertex of d1, d2 and their terminal
+    vertices.  Raises StructuralError when the graph cannot make the fold."""
+    d1, d2, case = spec.d1, spec.d2, spec.case
+    if abs(d1) == abs(d2):
+        if d1 == d2:
+            raise StructuralError("cannot fold a direction with itself")
+        if case != 2:
+            # both ends of a loop share a prefix; the segments are always
+            # proper and disjoint (a reduced word never equals its own
+            # reversal half-way)
+            raise StructuralError("self-fold of a loop must be a case-2 fold")
+    v0, v1 = _ends_of(ends, d1)
+    u2, v2 = _ends_of(ends, d2)
+    if u2 != v0:
+        raise StructuralError("fold directions must share their initial vertex")
+    if case not in (1, 2, 3):
+        raise ValueError("unknown fold case %r" % (case,))
+    if case == 3 and v1 == v2:
+        raise StructuralError("full-full fold of parallel edges collapses rank")
+    return v0, v1, v2
+
+
+def _merge_map(nv, v1, v2):
+    """Vertex renumbering of a case-3 fold: max(v1, v2) goes to min(v1, v2)
+    and the vertices above it shift down."""
+    keep, drop = min(v1, v2), max(v1, v2)
+    return [keep if v == drop else v - (v > drop) for v in range(nv)]
+
+
+def _move_ends(nv, ends, spec, v0, v1, v2):
+    """Make the fold on the graph: changes the list ends in place and
+    returns the new vertex count.  Edge ids stay dense: replacement edges
+    reuse the replaced slot, new material is appended, a deleted edge
+    shifts higher ids down."""
+    m1, m2 = abs(spec.d1), abs(spec.d2)
+    if spec.case == 1:
+        ends[m1 - 1] = (v2, v1)
+        return nv
+    if spec.case == 2:
+        if m1 == m2:
+            # self-fold of a loop: e becomes e* l* e*^-1 with l* a loop at w*
+            ends[m1 - 1] = (nv, nv)
+        else:
+            ends[m1 - 1] = (nv, v1)
+            ends[m2 - 1] = (nv, v2)
+        ends.append((v0, nv))
+        return nv + 1
+    vmap = _merge_map(nv, v1, v2)
+    del ends[m1 - 1]
+    ends[:] = [(vmap[u], vmap[v]) for u, v in ends]
+    return nv - 1
+
+
+def _inverse_columns(ends, spec, v1):
+    """The edge images of the stage inverse q : G* -> G that are not one
+    edge of G carried to itself, keyed by the edge of G*.  ends are G's."""
+    d1, d2 = spec.d1, spec.d2
+    m1, m2 = abs(d1), abs(d2)
+    if spec.case == 1:
+        return {m1: (-d2, d1)}
+    if spec.case == 2:
+        cols = {m2: (d2,), m1: (d1,)}    # a loop's self-fold keeps (d1,)
+        cols[len(ends) + 1] = ()
+        return cols
+    cols = {}
+    for e, (u, v) in enumerate(ends, start=1):
+        if e == m1 or v1 not in (u, v):
+            continue
+        path = (e,)
+        if u == v1:
+            path = (-d2, d1) + path
+        if v == v1:
+            path = path + (-d1, d2)
+        cols[e if e < m1 else e - 1] = path
+    return cols
+
+
+def _pull_vertices(vals, spec, v0, v1, v2):
+    """Per-vertex values of G, changed in place to those of G* by the stage
+    inverse's vertex map: case 2 gives the new vertex v0's, case 3 the
+    merged vertex v2's."""
+    if spec.case == 2:
+        vals.append(vals[v0])
+    elif spec.case == 3:
+        keep, drop = min(v1, v2), max(v1, v2)
+        vals[keep] = vals[v2]
+        del vals[drop]
+
+
+class _FoldState:
+    """A map being folded, changed in place fold by fold.
+
+    nv and ends are the current domain graph, levels its filtration (pushed
+    only when the first graph has one), vimg and img the vertex images and
+    edge image views in the fixed codomain, edgelets the total image
+    length, last the latest record (or the first graph).  A graph-only state
+    has img None and makes the graph moves alone.
+    """
+
+    __slots__ = ("nv", "ends", "levels", "codomain", "vimg", "img",
+                 "edgelets", "last")
+
+    def __init__(self, g, f=None):
+        self.nv = g.num_vertices
+        self.ends = list(g.edge_ends)
+        self.levels = g.filtration
+        self.last = g
+        self.img = None
+        if f is not None:
+            self.codomain = f.codomain
+            self.vimg = list(f.vertex_map)
+            self.img = [(p, 0, len(p), False) for p in f.edge_map]
+            self.edgelets = sum(map(len, f.edge_map))
+
+    def copy(self):
+        """A copy of a state with a map, to fold independently."""
+        other = _FoldState.__new__(_FoldState)
+        for name in _FoldState.__slots__:
+            setattr(other, name, getattr(self, name, None))
+        other.ends = list(self.ends)
+        other.vimg = list(self.vimg)
+        other.img = list(self.img)
+        return other
+
+    def _view(self, d):
+        return _oriented(self.img[abs(d) - 1], d)
+
+    def images(self):
+        return tuple(_letters(v, 0, v[2] - v[1]) for v in self.img)
+
+    def as_map(self, domain=None):
+        """The current map; its domain is the bare graph unless given."""
+        if domain is None:
+            domain = Graph(self.nv, tuple(self.ends))
+        return GraphMap(domain, self.codomain, tuple(self.vimg), self.images())
+
+    def records(self):
+        """The records of the folds made so far, first to last."""
+        out, r = [], self.last
+        while isinstance(r, FoldRecord):
+            out.append(r)
+            r = r._prev
+        return tuple(reversed(out))
+
+    def candidates(self):
+        """(vertex, d, d') for every pair of directions at a vertex whose
+        images start with the same letter: vertex by vertex, letter groups
+        in the order of their least direction, pairs in sorted order."""
+        return [(v, ds[i], ds[k]) for v, ds in self._groups()
+                for i in range(len(ds)) for k in range(i + 1, len(ds))]
+
+    def _groups(self):
+        """(vertex, sorted directions) for each vertex and first image
+        letter shared by two or more directions, by vertex and least
+        direction: the first group holds the least candidate."""
+        groups = {}
+        for e, (u, v) in enumerate(self.ends, start=1):
+            buf, lo, hi, rev = self.img[e - 1]
+            if hi > lo:
+                a, b = buf[lo], -buf[hi - 1]
+                if rev:
+                    a, b = b, a
+                groups.setdefault((u, a), []).append(e)
+                groups.setdefault((v, b), []).append(-e)
+        shared = [(v, ds) for (v, _), ds in groups.items() if len(ds) > 1]
+        for _, ds in shared:
+            ds.sort()
+        shared.sort()
+        return shared
+
+    def spec(self, v, da, db):
+        """Case classification and labelling of (e1, e2)."""
+        a, b = self._view(da), self._view(db)
+        la, lb = a[2] - a[1], b[2] - b[1]
+        n = min(la, lb)
+        # most shared prefixes are short: compare up to 8 letters at once,
+        # and gallop only past them
+        k = min(n, 8)
+        pa, pb = _letters(a, 0, k), _letters(b, 0, k)
+        if pa != pb:
+            c = 0
+            while pa[c] == pb[c]:
+                c += 1
+        elif k == n:
+            c = n
+        else:
+            c = _longest(n, lambda i, j: _letters(a, i, j) == _letters(b, i, j))
+        if c == 0:
+            raise StructuralError("directions do not share an image prefix")
+        fa, fb = c == la, c == lb
+        flags = ()
+        if fa and fb:
+            case = 3
+            ends = self.ends
+
+            # The explicit inverse conjugates the v1-side link by the
+            # connector e2^-1 e1, so an edge meeting v1 twice picks up a
+            # doubled occurrence.  That happens when a surviving loop sits
+            # at v1, or when e1 itself is a loop (then e2 starts at v1).
+            # Prefer a labelling avoiding both.
+            def dirty(d):
+                s, t = _ends_of(ends, d)
+                return s == t or any(u == w == t and e != abs(d)
+                                     for e, (u, w) in enumerate(ends, start=1))
+
+            d1, d2 = sorted((da, db))
+            if dirty(d1) and not dirty(d2):
+                d1, d2 = d2, d1
+            if dirty(d1):
+                flags = ("case3-loop-at-v1",)
+        elif fa != fb:
+            case = 1
+            d1, d2 = (db, da) if fa else (da, db)
+        else:
+            case = 2
+            d1, d2 = sorted((da, db))
+        return FoldSpec(v, d1, d2, c, case, flags)
+
+    def next_fold(self):
+        """find_fold's choice: the first candidate in sorted (v, d, d')
+        order whose spec is not flagged case3-loop-at-v1, else the first
+        flagged one, else None."""
+        groups = self._groups()
+        if not groups:
+            return None
+        v, ds = groups[0]
+        first = self.spec(v, ds[0], ds[1])
+        if "case3-loop-at-v1" not in first.flags:
+            return first
+        for v, da, db in sorted(self.candidates()):
+            spec = self.spec(v, da, db)
+            if "case3-loop-at-v1" not in spec.flags:
+                return spec
+        return first
+
+    def fold(self, spec):
+        """Make one fold and return its record.  Every check runs before
+        the state changes: the shared prefix, the graph move, the case-3
+        terminal images and the edgelet count."""
+        d1, d2, case, c = spec.d1, spec.d2, spec.case, spec.prefix_len
+        m1, m2 = abs(d1), abs(d2)
+        img = self.img
+        if img is not None:
+            a, b = self._view(d1), self._view(d2)
+            la, lb = a[2] - a[1], b[2] - b[1]
+            if _letters(a, 0, min(c, la)) != _letters(b, 0, min(c, lb)):
+                raise StructuralError("fold spec does not match the map")
+        v0, v1, v2 = _fold_vertices(self.ends, spec)
+        if img is not None:
+            if case == 1:
+                total = self.edgelets - c
+            elif case == 2:
+                if m1 == m2 and la - 2 * c <= 0:
+                    raise StructuralError("overlapping self-fold segments")
+                total = self.edgelets - c
+            else:
+                if self.vimg[v1] != self.vimg[v2]:
+                    raise StructuralError(
+                        "case-3 fold with mismatched terminal images")
+                total = self.edgelets - la
+            if total >= self.edgelets:
+                raise StructuralError("fold failed to decrease the edgelet count")
+        flags = spec.flags
+        if self.levels is not None:
+            g = Graph(self.nv, tuple(self.ends), filtration=self.levels)
+            _, p, _ = fold_move(g, spec)
+            self.levels, push_flags = _push_filtration(g, p)
+            flags += push_flags
+        if img is not None:
+            if case == 1:
+                img[m1 - 1] = _cut(a, c, la)
+            elif case == 2:
+                if m1 == m2:
+                    img[m1 - 1] = _cut(a, c, la - c)
+                else:
+                    img[m1 - 1] = _cut(a, c, la)
+                    img[m2 - 1] = _cut(b, c, lb)
+                img.append(_cut(a, 0, c))
+                self.vimg.append(self.codomain.term(_letters(a, c - 1, c)[0]))
+            else:
+                del img[m1 - 1]
+                del self.vimg[max(v1, v2)]
+            self.edgelets = total
+        self.nv = _move_ends(self.nv, self.ends, spec, v0, v1, v2)
+        self.last = FoldRecord(spec, flags, self.last)
+        return self.last
+
+
+def _fold_greedily(state):
+    """Fold in find_fold's order until the map is an immersion.  Each fold
+    checks that the edgelet count drops, so the loop ends."""
+    while (spec := state.next_fold()) is not None:
+        state.fold(spec)
+
+
+# ---------------------------------------------------------------------------
+# fold detection and application, one fold at a time
 # ---------------------------------------------------------------------------
 
 def find_fold(f):
@@ -104,197 +493,51 @@ def find_fold(f):
     """
     if not is_tight(f):
         raise StructuralError("find_fold requires a tightened map")
-    fallback = None
-    for v, da, db in sorted(_fold_candidates(f)):
-        spec = _normalize_spec(f, v, da, db)
-        if "case3-loop-at-v1" in spec.flags:
-            if fallback is None:
-                fallback = spec
-            continue
-        return spec
-    return fallback
+    return _FoldState(f.domain, f).next_fold()
 
-
-def _fold_candidates(f):
-    """(vertex, d, d') for every pair of directions at a vertex whose images
-    start with the same direction."""
-    df = direction_map(f)
-    links = f.domain.links()
-    out = []
-    for v in range(f.domain.num_vertices):
-        by_image = {}
-        for d in sorted(links[v]):
-            if d in df:
-                by_image.setdefault(df[d], []).append(d)
-        for ds in by_image.values():
-            for i in range(len(ds)):
-                for k in range(i + 1, len(ds)):
-                    out.append((v, ds[i], ds[k]))
-    return out
-
-
-def _normalize_spec(f, v, da, db):
-    """Case classification and labelling of (e1, e2)."""
-    pa, pb = f.image(da), f.image(db)
-    c = max_common_prefix(pa, pb)
-    if c == 0:
-        raise StructuralError("directions do not share an image prefix")
-    fa, fb = c == len(pa), c == len(pb)
-    flags = []
-    g = f.domain
-    if fa and fb:
-        case = 3
-        # The explicit inverse conjugates the v1-side link by the connector
-        # e2^-1 e1, so an edge meeting v1 twice picks up a doubled occurrence.
-        # That happens when a surviving loop sits at v1, or when e1 itself is
-        # a loop (then e2 starts at v1).  Prefer a labelling avoiding both.
-        def dirty(dA):
-            t = g.term(dA)
-            if t == g.init(dA):
-                return True
-            return any(u == w == t and e != abs(dA)
-                       for e, (u, w) in enumerate(g.edge_ends, start=1))
-
-        d1, d2 = sorted((da, db))
-        if dirty(d1) and not dirty(d2):
-            d1, d2 = d2, d1
-        if dirty(d1):
-            flags.append("case3-loop-at-v1")
-    elif fa != fb:
-        case = 1
-        d1, d2 = (db, da) if fa else (da, db)
-    else:
-        case = 2
-        d1, d2 = sorted((da, db))
-    return FoldSpec(v, d1, d2, c, case, tuple(flags))
-
-
-# ---------------------------------------------------------------------------
-# fold application
-# ---------------------------------------------------------------------------
 
 def fold_move(g, spec):
     """Carry out the quotient for a fold spec on the graph alone.
 
-    Returns (gstar, p, q).  Graph ids stay dense: replacement edges reuse the replaced slot, new
-    material is appended, deletions shift higher ids down.
+    Returns (gstar, p, q), gstar without basepoint, marking or filtration.
     """
     d1, d2, case = spec.d1, spec.d2, spec.case
     m1, m2 = abs(d1), abs(d2)
-    if m1 == m2 and d1 == d2:
-        raise StructuralError("cannot fold a direction with itself")
-    if m1 == m2 and case != 2:
-        # both ends of a loop share a prefix; the segments are always proper
-        # and disjoint (a reduced word never equals its own reversal half-way)
-        raise StructuralError("self-fold of a loop must be a case-2 fold")
-    v0 = g.init(d1)
-    if g.init(d2) != v0:
-        raise StructuralError("fold directions must share their initial vertex")
-    v1, v2 = g.term(d1), g.term(d2)
+    v0, v1, v2 = _fold_vertices(g.edge_ends, spec)
+    ends = list(g.edge_ends)
+    gstar = Graph(_move_ends(g.num_vertices, ends, spec, v0, v1, v2),
+                  tuple(ends))
 
+    p_vmap = list(range(g.num_vertices))
+    p_edges = [(e,) for e in g.edge_ids]
+    q_edges = list(p_edges)
     if case == 1:
-        ends = list(g.edge_ends)
-        ends[m1 - 1] = (v2, v1)
-        gstar = Graph(g.num_vertices, tuple(ends))
-        p_edges = [(e,) for e in g.edge_ids]
         p_edges[m1 - 1] = (d2, m1) if d1 > 0 else (-m1, -d2)
-        p = GraphMap(g, gstar, tuple(range(g.num_vertices)), tuple(p_edges))
-        q_edges = [(e,) for e in gstar.edge_ids]
-        q_edges[m1 - 1] = (-d2, d1)
-        q = GraphMap(gstar, g, tuple(range(g.num_vertices)), tuple(q_edges))
-        return gstar, p, q
-
-    if case == 2:
-        w = g.num_vertices
-        ends = list(g.edge_ends)
+    elif case == 2:
+        estar = g.num_edges + 1
         if m1 == m2:
-            # self-fold of a loop: e becomes e* l* e*^-1 with l* a loop at w*
-            ends[m1 - 1] = (w, w)
-            estar = len(ends) + 1
-            ends.append((v0, w))
-            gstar = Graph(g.num_vertices + 1, tuple(ends))
-            p_edges = [(e,) for e in g.edge_ids]
-            p_edges[m1 - 1] = (estar, m1, -estar) if d1 > 0 \
-                else (estar, -m1, -estar)
-            p = GraphMap(g, gstar, tuple(range(g.num_vertices)), tuple(p_edges))
-            q_vmap = tuple(range(g.num_vertices)) + (v0,)
-            q_edges = [(e,) for e in g.edge_ids]
-            q_edges[m1 - 1] = (d1,)
-            q_edges.append(())
-            q = GraphMap(gstar, g, q_vmap, tuple(q_edges))
-            return gstar, p, q
-        ends[m1 - 1] = (w, v1)
-        ends[m2 - 1] = (w, v2)
-        estar = len(ends) + 1
-        ends.append((v0, w))
-        gstar = Graph(g.num_vertices + 1, tuple(ends))
-        p_edges = [(e,) for e in g.edge_ids]
-        p_edges[m1 - 1] = (estar, m1) if d1 > 0 else (-m1, -estar)
-        p_edges[m2 - 1] = (estar, m2) if d2 > 0 else (-m2, -estar)
-        p = GraphMap(g, gstar, tuple(range(g.num_vertices)), tuple(p_edges))
-        q_vmap = tuple(range(g.num_vertices)) + (v0,)
-        q_edges = [(e,) for e in g.edge_ids]
-        q_edges[m1 - 1] = (d1,)
-        q_edges[m2 - 1] = (d2,)
+            p_edges[m1 - 1] = (estar, m1 if d1 > 0 else -m1, -estar)
+        else:
+            p_edges[m1 - 1] = (estar, m1) if d1 > 0 else (-m1, -estar)
+            p_edges[m2 - 1] = (estar, m2) if d2 > 0 else (-m2, -estar)
         q_edges.append(())
-        q = GraphMap(gstar, g, q_vmap, tuple(q_edges))
-        return gstar, p, q
-
-    if case == 3:
-        if v1 == v2:
-            raise StructuralError(
-                "full-full fold of parallel edges collapses rank")
-        vkeep, vdrop = min(v1, v2), max(v1, v2)
-        vmap = []
-        for v in range(g.num_vertices):
-            if v == vdrop:
-                vmap.append(vkeep)
-            elif v > vdrop:
-                vmap.append(v - 1)
-            else:
-                vmap.append(v)
-        emap = {}
-        for e in g.edge_ids:
-            if e == m1:
-                continue
-            emap[e] = e if e < m1 else e - 1
-        ends = [None] * (g.num_edges - 1)
-        for e, ne in emap.items():
-            u, v = g.edge_ends[e - 1]
-            ends[ne - 1] = (vmap[u], vmap[v])
-        gstar = Graph(g.num_vertices - 1, tuple(ends))
+    else:
+        p_vmap = _merge_map(g.num_vertices, v1, v2)
 
         def signed(d):
-            return emap[abs(d)] if d > 0 else -emap[abs(d)]
+            e = abs(d) if abs(d) < m1 else abs(d) - 1
+            return e if d > 0 else -e
 
-        p_edges = []
-        for e in g.edge_ids:
-            if e == m1:
-                p_edges.append((signed(d2),) if d1 > 0 else (-signed(d2),))
-            else:
-                p_edges.append((signed(e),))
-        p = GraphMap(g, gstar, tuple(vmap), tuple(p_edges))
-
-        q_vmap = []
-        merged_new = vmap[v1]
-        for nv in range(gstar.num_vertices):
-            if nv == merged_new:
-                q_vmap.append(v2)
-            else:
-                q_vmap.append(nv if nv < vdrop else nv + 1)
-        q_edges = [None] * gstar.num_edges
-        for e, ne in emap.items():
-            u, v = g.edge_ends[e - 1]
-            path = (e,)
-            if u == v1:
-                path = (-d2, d1) + path
-            if v == v1:
-                path = path + (-d1, d2)
-            q_edges[ne - 1] = path
-        q = GraphMap(gstar, g, tuple(q_vmap), tuple(q_edges))
-        return gstar, p, q
-
-    raise ValueError("unknown fold case %r" % (case,))
+        p_edges = [(signed(e),) for e in g.edge_ids]
+        p_edges[m1 - 1] = (signed(d2),) if d1 > 0 else (-signed(d2),)
+        del q_edges[m1 - 1]
+    for e, path in _inverse_columns(g.edge_ends, spec, v1).items():
+        q_edges[e - 1] = path
+    q_vmap = list(range(g.num_vertices))
+    _pull_vertices(q_vmap, spec, v0, v1, v2)
+    p = GraphMap(g, gstar, tuple(p_vmap), tuple(p_edges))
+    q = GraphMap(gstar, g, tuple(q_vmap), tuple(q_edges))
+    return gstar, p, q
 
 
 def _push_filtration(g, p):
@@ -325,14 +568,18 @@ def _push_graph_data(g, gstar, p):
     return g2, flags
 
 
+def _stage_maps(g, spec):
+    """(p, q) of a fold of g, with G*'s basepoint, marking and filtration."""
+    gstar, p, q = fold_move(g, spec)
+    gstar, _ = _push_graph_data(g, gstar, p)
+    return (GraphMap(g, gstar, p.vertex_map, p.edge_map),
+            GraphMap(gstar, g, q.vertex_map, q.edge_map))
+
+
 def apply_fold_move(g, spec):
     """Carry out a fold on a graph alone (no map being factored): the record
     with quotient, inverse, and pushed filtration/marking data."""
-    gstar_raw, p, q = fold_move(g, spec)
-    gstar, push_flags = _push_graph_data(g, gstar_raw, p)
-    p = GraphMap(g, gstar, p.vertex_map, p.edge_map)
-    q = GraphMap(gstar, g, q.vertex_map, q.edge_map)
-    return FoldRecord(spec, spec.case, p, q, tuple(spec.flags) + push_flags)
+    return _FoldState(g).fold(spec)
 
 
 def apply_fold(f, spec):
@@ -342,50 +589,9 @@ def apply_fold(f, spec):
     in the case constructions (the new vertex of a case-2 fold is the split
     point; a case-1 split point is absorbed into v2).
     """
-    g = f.domain
-    pa, pb = f.image(spec.d1), f.image(spec.d2)
-    c = spec.prefix_len
-    if pa[:c] != pb[:c]:
-        raise StructuralError("fold spec does not match the map")
-    record = apply_fold_move(g, spec)
-    gstar = record.graph_star
-
-    m1, m2 = abs(spec.d1), abs(spec.d2)
-    h = f.codomain
-    if spec.case == 1:
-        emap = list(f.edge_map)
-        rest = pa[c:]
-        emap[m1 - 1] = rest
-        vmap = f.vertex_map
-        f1 = GraphMap(gstar, h, vmap, tuple(emap))
-    elif spec.case == 2:
-        emap = list(f.edge_map)
-        if m1 == m2:
-            emap[m1 - 1] = pa[c:len(pa) - c]
-            if not emap[m1 - 1]:
-                raise StructuralError("overlapping self-fold segments")
-        else:
-            emap[m1 - 1] = pa[c:]
-            emap[m2 - 1] = pb[c:]
-        emap.append(pa[:c])
-        split_vertex = h.term(pa[c - 1])
-        vmap = f.vertex_map + (split_vertex,)
-        f1 = GraphMap(gstar, h, vmap, tuple(emap))
-    else:
-        if f.vertex_map[g.term(spec.d1)] != f.vertex_map[g.term(spec.d2)]:
-            raise StructuralError("case-3 fold with mismatched terminal images")
-        emap = []
-        for e in g.edge_ids:
-            if e == m1:
-                continue
-            emap.append(f.edge_map[e - 1])
-        vdrop = max(g.term(spec.d1), g.term(spec.d2))
-        vmap = tuple(w for v, w in enumerate(f.vertex_map) if v != vdrop)
-        f1 = GraphMap(gstar, h, vmap, tuple(emap))
-
-    if edgelet_count(f1) >= edgelet_count(f):
-        raise StructuralError("fold failed to decrease the edgelet count")
-    return record, f1
+    state = _FoldState(f.domain, f)
+    record = state.fold(spec)
+    return record, state.as_map(record.graph_star)
 
 
 def invert_fold(record, b=None, a=None):
@@ -474,48 +680,40 @@ def invert_homeomorphism(f):
 CLEAN_SEARCH_BUDGET = 50_000
 
 
-def _fold_greedily(f):
-    """Fold in find_fold's order until f is an immersion: (records, terminal).
-    apply_fold raises unless the edgelet count drops, so the loop ends."""
-    records = []
-    while (spec := find_fold(f)) is not None:
-        record, f = apply_fold(f, spec)
-        records.append(record)
-    return records, f
-
-
 def _clean_factorize(f, budget=CLEAN_SEARCH_BUDGET):
     """Depth-first search for a factorization avoiding dirty case-3 folds
     (inverse LC = 2).  Returns (outcome, states popped, found): "clean" with
     (records, terminal), or "none-exists" / "budget" with None."""
     seen = set()
-    stack = [(f, ())]
+    stack = [_FoldState(f.domain, f)]
     steps = 0
     while stack:
         if steps == budget:
             return "budget", steps, None
         steps += 1
-        cur, recs = stack.pop()
-        key = (cur.domain.edge_ends, cur.vertex_map, cur.edge_map)
+        cur = stack.pop()
+        key = (tuple(cur.ends), tuple(cur.vimg), cur.images())
         if key in seen:
             continue
         seen.add(key)
-        cands = _fold_candidates(cur)
+        cands = cur.candidates()
         if not cands:
-            if _try_invert_homeo(cur) is not None:
-                return "clean", steps, (recs, cur)
+            terminal = cur.as_map(None if cur.records() else f.domain)
+            if _try_invert_homeo(terminal) is not None:
+                return "clean", steps, (cur.records(), terminal)
             continue
         # push in reverse so the deterministic first candidate pops first
         branches = []
         for v, da, db in cands:
-            spec = _normalize_spec(cur, v, da, db)
+            spec = cur.spec(v, da, db)
             if "case3-loop-at-v1" in spec.flags:
                 continue
+            nxt = cur.copy()
             try:
-                record, nxt = apply_fold(cur, spec)
+                nxt.fold(spec)
             except StructuralError:
                 continue
-            branches.append((nxt, recs + (record,)))
+            branches.append(nxt)
         stack.extend(reversed(branches))
     return "none-exists", steps, None
 
@@ -533,14 +731,22 @@ def factorize(f):
     if any(not p for p in f.edge_map):
         raise CertificationError(
             "cannot factor a map with collapsed edges", residual=f)
-    records, cur = _fold_greedily(f)
+    state = _FoldState(f.domain, f)
+    _fold_greedily(state)
+    records = state.records()
+    cur = state.as_map(None if records else f.domain)
     theta_inv = _try_invert_homeo(cur)
     if theta_inv is None:
         raise CertificationError(
             "terminal immersion is not a homeomorphism; "
             "the input was not a homotopy equivalence", residual=cur)
-    return FoldFactorization(f.domain, f.codomain, tuple(records), cur,
-                             theta_inv)
+    if log.isEnabledFor(logging.DEBUG):
+        cases = Counter(r.case for r in records)
+        log.debug("factorize: %d folds (case 1: %d, case 2: %d, case 3: %d); "
+                  "flagged records %s", len(records), cases[1], cases[2],
+                  cases[3], [(i, r.flags) for i, r in enumerate(records, 1)
+                             if r.flags] or "none")
+    return FoldFactorization(f.domain, f.codomain, records, cur, theta_inv)
 
 
 def clean_factorize(f):
@@ -568,27 +774,111 @@ class InverseStats:
     stage_lcs: tuple
 
 
+def _multiplicity(path):
+    """The largest number of times one edge occurs in a path: the path's
+    column maximum in a transition matrix."""
+    edges = list(map(abs, path))
+    if len(set(edges)) == len(edges):
+        return 1 if edges else 0
+    return max(Counter(edges).values())
+
+
+@lru_cache(maxsize=64)
+def _log(x):
+    return np.log(max(x, 1))
+
+
+def _words(paths, ds):
+    """The reduced product of the paths paths[|d|] = [deque, reversed] read
+    along each d of ds."""
+    if not ds:
+        return ()
+    out = []
+    for d in ds:
+        dq, rev = paths[abs(d) - 1]
+        out.extend(map(neg, reversed(dq)) if (d < 0) != rev else dq)
+    return reduce_word(out)
+
+
+def _wrap(path, pre, post):
+    """path := reduce(pre . path . post) for a [deque, reversed] path and
+    reduced words pre, post; only the two seams can cancel."""
+    dq, rev = path
+    if rev:
+        pre, post = invert_word(post), invert_word(pre)
+    k = len(pre)
+    while k and dq and dq[0] == -pre[k - 1]:
+        dq.popleft()
+        k -= 1
+    dq.extendleft(reversed(pre[:k]))
+    k = 0
+    while k < len(post) and dq and dq[-1] == -post[k]:
+        dq.pop()
+        k += 1
+    dq.extend(post[k:])
+
+
 def controlled_inverse(fact):
     """Homotopy inverse g = q_1 o ... o q_k o theta', tightened.
 
     Returns (g, stats): stats is the LC bookkeeping against the
     Edge_n^{k-1} * prod LC(M(q_i)) product bound.
+
+    The composite Q_i = q_1 o ... o q_i is kept tightened, one reduced path
+    of the first graph per edge of G_i.  A stage rewrites only the edges its
+    inverse does not carry to themselves, and extends each such path at its
+    two ends in place; since reduction commutes with substitution, g equals
+    the stage-by-stage tightening of the literal composite.
     """
-    # reduction commutes with substitution: per-stage tightening, same g
-    g = tighten_map(fact.theta_inverse)
-    for record in reversed(fact.records):
-        g = tighten_map(compose(record.inverse, g))
-    stage_lcs = [int(transition_matrix(r.inverse).entries.max(initial=0))
-                 for r in fact.records]
-    stage_lcs.append(int(transition_matrix(fact.theta_inverse).entries.max(initial=0)))
+    g0 = fact.source
+    nv, ends = g0.num_vertices, list(g0.edge_ends)
+    paths = [[deque((e,)), False] for e in g0.edge_ids]
+    verts = list(range(nv))
+    stage_lcs = []
+    for record in fact.records:
+        spec = record.spec
+        v0, v1, v2 = _fold_vertices(ends, spec)
+        cols = _inverse_columns(ends, spec, v1)
+        lc = max(map(_multiplicity, cols.values()), default=0)
+        stage_edges = len(ends) + (spec.case == 2) - (spec.case == 3)
+        stage_lcs.append(max(lc, 1) if stage_edges > len(cols) else lc)
+        m1 = abs(spec.d1)
+        rewritten = []
+        for e, path in cols.items():
+            if not path:            # the new edge of a case-2 fold
+                rewritten.append((e, [deque(), False], (), ()))
+                continue
+            own = e + 1 if spec.case == 3 and e >= m1 else e
+            i = path.index(own) if own in path else path.index(-own)
+            dq, rev = paths[own - 1]
+            rewritten.append((e, [dq, rev if path[i] > 0 else not rev],
+                              _words(paths, path[:i]),
+                              _words(paths, path[i + 1:])))
+        # every pre and post word is read before any path changes
+        for e, new, pre, post in rewritten:
+            _wrap(new, pre, post)
+        if spec.case == 2:
+            paths.append(None)
+        elif spec.case == 3:
+            del paths[m1 - 1]
+        for e, new, _, _ in rewritten:
+            paths[e - 1] = new
+        _pull_vertices(verts, spec, v0, v1, v2)
+        nv = _move_ends(nv, ends, spec, v0, v1, v2)
+    theta_inv = fact.terminal_inverse
+    stage_lcs.append(max(map(_multiplicity, theta_inv.edge_map), default=0))
+    emap = tuple(_words(paths, p) for p in theta_inv.edge_map)
+    g = GraphMap(fact.target, g0,
+                 tuple(verts[v] for v in theta_inv.vertex_map), emap)
     k = len(stage_lcs)
-    n = rank(fact.source)
-    log_bound = (k - 1) * np.log(edge_bound(n)) + sum(
-        np.log(max(c, 1)) for c in stage_lcs)
-    lc = int(transition_matrix(g).entries.max(initial=0))
+    n = rank(g0)
+    log_bound = (k - 1) * _log(edge_bound(n)) + sum(map(_log, stage_lcs))
+    lc = max(map(_multiplicity, emap), default=0)
     stats = InverseStats(fact.fold_count, lc, float(log_bound),
-                         bool(np.log(max(lc, 1)) <= log_bound + 1e-9),
+                         bool(_log(lc) <= log_bound + 1e-9),
                          tuple(stage_lcs))
+    log.debug("controlled inverse: %d stages (%d folds and the terminal "
+              "homeomorphism), LC %d", k, k - 1, lc)
     return g, stats
 
 
@@ -712,10 +1002,12 @@ def certify_homotopy_equivalence(f):
             rf = GraphMap(g2, rf.codomain, tuple(vmap), tuple(emap))
         if rank(rf.domain) != rank(rf.codomain):
             return False
+        state = _FoldState(rf.domain, rf)
         try:
-            _, cur = _fold_greedily(rf)
+            _fold_greedily(state)
         except StructuralError:
             return False
+        cur = state.as_map()
         if not _terminal_is_embedding(cur):
             return False
         image = set()

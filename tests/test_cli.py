@@ -69,6 +69,17 @@ def test_invert_identity():
     assert proc.stdout.strip() == "a->a, b->b"
 
 
+def test_invert_builds_dump_only_with_out(monkeypatch, capsys):
+    from foldtrack import cli
+
+    def no_dump(fact):
+        raise AssertionError("dump built without --out")
+
+    monkeypatch.setattr(cli, "_factorization_dump", no_dump)
+    assert cli.main(["invert", "a->ac, b->a, c->b"]) == 0
+    assert capsys.readouterr().out == "a->b, b->c, c->b^-1 a\n"
+
+
 def test_invert_map_file(tmp_path):
     from foldtrack.automorphisms import parse_automorphism, rose_representative
     from foldtrack.graph_map import map_to_json
@@ -163,6 +174,47 @@ def test_experiment_negative_count_exit_2(flag, value):
     assert proc.returncode == 2
     assert "error: %s must be nonnegative" % flag in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_experiment_jobs_below_one_exit_2(value):
+    proc = run_cli("experiment", "--trials", "1", "--jobs", value)
+    assert proc.returncode == 2
+    assert "error: --jobs must be at least 1" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("jobs,trials,cores,workers", [
+    (10_000, 3, 2, 2), (10_000, 3, 8, 3), (4, 50, 8, 4), (10_000, 1, 8, None),
+])
+def test_experiment_jobs_capped(monkeypatch, tmp_path, jobs, trials, cores,
+                                workers):
+    """The pool never gets more workers than trials or cores; the pool is
+    replaced, so no process starts."""
+    from foldtrack import cli
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    out = tmp_path / "out.tsv"
+    assert cli.main(["experiment", "--trials", str(trials), "--rank", "2",
+                     "--length", "3", "--jobs", str(jobs),
+                     "--out", str(out)]) == 0
+    assert asked == ([] if workers is None else [workers])
+    assert len(out.read_text().splitlines()) == trials + 2
 
 
 def test_metric_word_past_length_cap_exit_2(tmp_path):

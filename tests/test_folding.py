@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,6 +289,20 @@ def test_forced_loop_merge_has_lc_two():
     assert outer_trivial(tighten_map(compose(g, f)))
 
 
+def test_factorize_and_inverse_log_at_debug(caplog):
+    from foldtrack.automorphisms import parse_automorphism, rose_representative
+    aut = parse_automorphism("a->a, b->b^-1 db, c->ddb, d->c^-1")
+    f = tighten_map(rose_representative(aut))
+    with caplog.at_level("DEBUG", logger="foldtrack"):
+        controlled_inverse(factorize(f))
+    assert [r.getMessage() for r in caplog.records] == [
+        "factorize: 3 folds (case 1: 1, case 2: 1, case 3: 1); "
+        "flagged records [(3, ('case3-loop-at-v1',))]",
+        "controlled inverse: 4 stages (3 folds and the terminal "
+        "homeomorphism), LC 2",
+    ]
+
+
 def test_clean_factorize_reports_search_outcome():
     """factorize never searches; clean_factorize says why its search
     stopped: a clean order found, none exists, or the budget ran out."""
@@ -338,3 +355,32 @@ def test_factorize_roundtrip_random(seed, n):
     g, _ = controlled_inverse(fact)
     assert outer_trivial(tighten_map(compose(g, f)))
     assert outer_trivial(tighten_map(compose(f, g)))
+
+
+_TWIST_FOLDS = """
+import sys, time
+from foldtrack.automorphisms import rose_graph
+from foldtrack.folding import controlled_inverse, factorize
+from foldtrack.graph_map import GraphMap
+m = int(sys.argv[1])
+rose = rose_graph(2)
+f = GraphMap(rose, rose, (0,), ((1,), (2,) + (1,) * m))
+t0 = time.perf_counter()
+fact = factorize(f)
+g, stats = controlled_inverse(fact)
+elapsed = time.perf_counter() - t0
+assert fact.fold_count == m and g.edge_map == ((1,), (2,) + (-1,) * m)
+print(elapsed)
+"""
+
+
+def test_twist_folds_in_near_linear_time():
+    """x2 -> x2 x1^m folds one letter per fold, and one inverse image grows
+    by a letter per stage.  At m = 10^5, factorize plus controlled_inverse
+    must fit the acceptance-6 budget of 5 s; a fold or a stage that copies
+    the long image makes this quadratic (minutes).  The child process is
+    cut at 60 s, so a regression fails instead of hanging."""
+    proc = subprocess.run([sys.executable, "-c", _TWIST_FOLDS, "100000"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert float(proc.stdout) < 5.0
