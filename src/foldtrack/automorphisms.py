@@ -302,28 +302,16 @@ def stable_gates(f):
     """Partition of directions by eventual collision under iterated Df.
 
     Directions d, d' are in the same gate when Df^m(d) = Df^m(d') for some
-    m >= 1; the kernel partition of Df^m stabilizes after at most the number
-    of directions many steps.
+    m >= 1.  The kernel of Df^m only grows with m, so it is stable once m
+    reaches the number of directions: square Df up to such a power and group
+    once, mapping each direction to the least direction of its gate.
     """
     df = direction_map(f)
-    dirs = sorted(df)
-    cur = {d: df[d] for d in dirs}
-    steps = len(dirs)
-    prev_classes = None
-    for _ in range(steps + 1):
-        classes = {}
-        for d in dirs:
-            classes.setdefault(cur[d], []).append(d)
-        key = tuple(tuple(v) for v in sorted(classes.values()))
-        if key == prev_classes:
-            break
-        prev_classes = key
-        cur = {d: df.get(cur[d], cur[d]) for d in dirs}
-    rep = {}
-    for members in classes.values():
-        for d in members:
-            rep[d] = members[0]
-    return rep
+    power = df
+    for _ in range(len(df).bit_length()):
+        power = {d: power.get(x, x) for d, x in power.items()}
+    least = {}
+    return {d: least.setdefault(power[d], d) for d in sorted(df)}
 
 
 def check_train_track(f):
@@ -526,9 +514,17 @@ def expansion_pair(aut):
     f = tighten_map(rose_representative(phi))
     inv, fact, stats = _fold_inverse_of(factorize(f))
     fi = tighten_map(rose_representative(inv))
-    return ExpansionPair(phi, inv, f, fi, fact, stats, gamma_hat(f),
+    pair = ExpansionPair(phi, inv, f, fi, fact, stats, gamma_hat(f),
                          gamma_hat(fi), check_train_track(f),
                          check_train_track(fi))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("expansion pair: lambda %s (certified %s, %d EG blocks), "
+                  "mu %s (certified %s, %d EG blocks)",
+                  pair.lam, pair.certified,
+                  len({e.stratum for e in pair.spectrum.entries}),
+                  pair.mu, pair.inverse_certified,
+                  len({e.stratum for e in pair.inverse_spectrum.entries}))
+    return pair
 
 
 def expansion_report(aut, k_max=40):

@@ -9,7 +9,7 @@ components, topologically ordered; each diagonal block is irreducible or a
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, zip_longest
 
 import numpy as np
 
@@ -55,45 +55,59 @@ class BlockStructure:
     order: tuple         # concatenated index order (filtration-compatible)
 
 
+def _rows(m):
+    """A square matrix as a list of rows of Python numbers."""
+    rows = m.tolist() if hasattr(m, "tolist") else [list(r) for r in m]
+    if any(not isinstance(r, list) or len(r) != len(rows) for r in rows):
+        raise ValueError("expected a square matrix")
+    return rows
+
+
 def block_structure(m):
     """Condense the digraph "k covers j when m[j,k] > 0" and order the SCCs
     so every block only covers blocks at lower levels (deterministic Kahn
-    order, smallest minimal index first).
+    order, smallest minimal index first)."""
+    return _blocks(_rows(m))
 
-    The SCCs are the mutual-reachability classes of the reflexive-transitive
-    closure, formed by repeated boolean squaring."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("block structure needs a square matrix")
-    n = m.shape[0]
-    reach = (m.T > 0) | np.eye(n, dtype=bool)  # reach[k, j]: k reaches j
-    for _ in range(n.bit_length()):
-        reach = reach @ reach
-    mutual = reach & reach.T
+
+def _blocks(rows):
+    """block_structure of a list of rows.  reach[k] is the bitset of the
+    indices k reaches, reflexive and closed by a Warshall pass; the SCCs are
+    its mutual-reachability classes."""
+    n = len(rows)
+    reach = [1 << k for k in range(n)]
+    for j, row in enumerate(rows):
+        for k, x in enumerate(row):
+            if x > 0:
+                reach[k] |= 1 << j
+    for i in range(n):
+        bit, through = 1 << i, reach[i]
+        for k in range(n):
+            if reach[k] & bit:
+                reach[k] |= through
     # each block is named by its minimal index
-    left = [i for i in range(n) if not mutual[i, :i].any()]
+    mutual = [reach[i] & sum(1 << j for j in range(n) if reach[j] >> i & 1)
+              for i in range(n)]
+    left = [(i, cls) for i, cls in enumerate(mutual) if cls & -cls == 1 << i]
     blocks = []
     kinds = []
+    unplaced = (1 << n) - 1
     while left:
         # ready: reaches no other unplaced block (reach is reflexive)
-        ready = reach[np.ix_(left, left)].sum(axis=1) == 1
-        rep = left.pop(int(np.argmax(ready)))
-        idx = tuple(int(i) for i in np.flatnonzero(mutual[rep]))
+        pos = next(p for p, (rep, cls) in enumerate(left)
+                   if reach[rep] & unplaced == cls)
+        rep, cls = left.pop(pos)
+        unplaced ^= cls
+        idx = tuple(j for j in range(rep, n) if cls >> j & 1)
         blocks.append(idx)
-        if len(idx) == 1 and m[idx[0], idx[0]] == 0:
-            kinds.append("zero")
-        else:
-            kinds.append("irreducible")
+        zero = len(idx) == 1 and rows[rep][rep] == 0
+        kinds.append("zero" if zero else "irreducible")
     order = tuple(i for b in blocks for i in b)
     return BlockStructure(tuple(blocks), tuple(kinds), order)
 
 
 def is_irreducible(m):
-    m = np.asarray(m)
-    if m.shape[0] == 0:
-        return False
-    bs = block_structure(m)
-    return len(bs.blocks) == 1 and bs.kinds[0] == "irreducible"
+    return _blocks(_rows(m)).kinds == ("irreducible",)
 
 
 # ---------------------------------------------------------------------------
@@ -103,37 +117,35 @@ def is_irreducible(m):
 def period(m):
     """Multiplicity of an irreducible matrix: gcd of cycle lengths through a
     fixed index of the adjacency digraph."""
-    m = np.asarray(m)
-    if not is_irreducible(m):
+    rows = _rows(m)
+    if _blocks(rows).kinds != ("irreducible",):
         raise ValueError("period requires an irreducible matrix")
-    return _period(m)
+    return _period(rows)
 
 
-def _period(m):
+def _period(rows):
     """Period of an irreducible matrix, from one BFS out of index 0: the gcd
     of dist(v) + 1 - dist(w) over the arcs v -> w."""
-    n = m.shape[0]
-    adjacency = [list(np.nonzero(m[:, k])[0]) for k in range(n)]
-    dist = [None] * n
+    adjacency = [[w for w, x in enumerate(col) if x] for col in zip(*rows)]
+    dist = [None] * len(rows)
     dist[0] = 0
     queue = [0]
-    g = 0
-    while queue:
-        v = queue.pop(0)
+    for v in queue:
         for w in adjacency[v]:
             if dist[w] is None:
                 dist[w] = dist[v] + 1
                 queue.append(w)
-    for v in range(n):
-        for w in adjacency[v]:
+    g = 0
+    for v, arcs in enumerate(adjacency):
+        for w in arcs:
             g = math.gcd(g, dist[v] + 1 - dist[w])
     return max(g, 1)
 
 
-def _is_permutation_cycle(m):
-    m = np.asarray(m)
-    return (m.max(initial=0) <= 1 and (m.sum(axis=0) == 1).all()
-            and (m.sum(axis=1) == 1).all())
+def _is_permutation_cycle(rows):
+    """An irreducible nonnegative integer matrix is a permutation cycle iff
+    every row sums to 1: its n unit entries then meet each column too."""
+    return all(sum(r) == 1 for r in rows)
 
 
 def pf_value(m):
@@ -143,30 +155,30 @@ def pf_value(m):
     The result is checked against the classical bounds
     lambda <= alpha * LC(M) and lambda^alpha >= LC(M).
     """
-    m = np.asarray(m, dtype=np.int64)
-    if not is_irreducible(m):
+    rows = _rows(m)
+    if _blocks(rows).kinds != ("irreducible",):
         raise ValueError("pf_value requires an irreducible matrix")
-    if _is_permutation_cycle(m):
-        return 1.0
-    return _pf_and_period(m)[0]
+    return 1.0 if _is_permutation_cycle(rows) else _pf(rows)
 
 
-def _pf_and_period(m):
-    """pf_value and period of an integer matrix already known to be
-    irreducible and not a permutation cycle."""
-    lam = float(np.abs(np.linalg.eigvals(m)).max())
-    alpha = m.shape[0]
-    big = lc(m)
+def _pf(rows):
+    """pf_value of the rows of a matrix already known to be irreducible and
+    not a permutation cycle.  The moduli are numpy's: Python's abs of a
+    complex number can differ from it in the last bit, and on a periodic
+    block the largest modulus may be a complex eigenvalue's."""
+    lam = max(np.abs(np.linalg.eigvals(rows)).tolist())
+    alpha = len(rows)
+    big = max(map(max, rows))
     if lam > alpha * big + 1e-6 or lam ** alpha < big * (1 - 1e-9):
         raise NumericError("Perron-Frobenius value violates its bounds")
-    return lam, _period(m)
+    return lam
 
 
 def charpoly(m):
     """Exact characteristic polynomial det(xI - M) of an integer matrix,
     by cofactor expansion over polynomial coefficient lists (sizes <= 6)."""
-    m = np.asarray(m, dtype=object)
-    n = m.shape[0]
+    m = _rows(m)
+    n = len(m)
     if n > 6:
         raise ValueError("exact charpoly oracle is limited to size 6")
 
@@ -177,28 +189,18 @@ def charpoly(m):
                 out[i + j] += x * y
         return out
 
-    def poly_add(a, b):
-        out = [0] * max(len(a), len(b))
-        for i, x in enumerate(a):
-            out[i] += x
-        for i, y in enumerate(b):
-            out[i] += y
-        return out
+    def entry(i, j):
+        return [-m[i][j], 1] if i == j else [-m[i][j]]
 
     def det(rows, cols):
         if len(rows) == 1:
-            i, j = rows[0], cols[0]
-            d = [-m[i, j], 1] if i == j else [-m[i, j]]
-            return d
+            return entry(rows[0], cols[0])
         total = [0]
-        i = rows[0]
         for pos, j in enumerate(cols):
-            entry = [-m[i, j], 1] if i == j else [-m[i, j]]
-            sub = det(rows[1:], cols[:pos] + cols[pos + 1:])
-            term = poly_mul(entry, sub)
-            if pos % 2:
-                term = [-t for t in term]
-            total = poly_add(total, term)
+            minor = det(rows[1:], cols[:pos] + cols[pos + 1:])
+            term = poly_mul(entry(rows[0], j), minor)
+            total = [a + (-b if pos % 2 else b)
+                     for a, b in zip_longest(total, term, fillvalue=0)]
         return total
 
     coeffs = det(tuple(range(n)), tuple(range(n)))
@@ -276,30 +278,31 @@ class ExpansionSpectrum:
 
 def maximal_invariant_filtration(f):
     """The unique maximal weak filtration the self-map respects, as (ordered
-    edge-id blocks, block kinds, transition matrix, block index slices)."""
+    edge-id blocks, their BlockStructure, the transition matrix as rows)."""
     if f.domain.edge_ends != f.codomain.edge_ends:
         raise ValueError("maximal filtration needs a self map")
     tm = transition_matrix(f)
-    bs = block_structure(tm.entries)
+    rows = tm.entries.tolist()
+    bs = _blocks(rows)
     # Order rows/cols by the condensation; col_edges == row_edges for self maps.
     blocks_edges = tuple(tuple(tm.col_edges[i] for i in b) for b in bs.blocks)
-    return blocks_edges, bs, tm
+    return blocks_edges, bs, rows
 
 
 def gamma(f):
     """Spectrum of Perron-Frobenius values of EG strata, decreasing."""
-    blocks_edges, bs, tm = maximal_invariant_filtration(f)
+    blocks_edges, bs, rows = maximal_invariant_filtration(f)
     entries = []
     for level, (idx, kind, edges) in enumerate(
             zip(bs.blocks, bs.kinds, blocks_edges), start=1):
         if kind == "zero":
             continue
-        sub = tm.entries[np.ix_(idx, idx)]
+        sub = [[rows[i][j] for j in idx] for i in idx]
         if _is_permutation_cycle(sub):
             continue
-        lam, p = _pf_and_period(sub)
+        lam = _pf(sub)
         if lam > 1.0:
-            entries.append(SpectrumEntry(lam, p, level, tuple(edges)))
+            entries.append(SpectrumEntry(lam, _period(sub), level, edges))
     entries.sort(key=lambda e: (-e.value, e.stratum))
     filtration = tuple(tuple(sorted(edges)) for edges in blocks_edges)
     return ExpansionSpectrum(tuple(entries), filtration)
@@ -309,13 +312,9 @@ def gamma_hat(f):
     """gamma with each entry repeated by its block period (the multiplicity),
     equal to the p-th-root construction applied to f^p."""
     base = gamma(f)
-    expanded = []
-    for e in base.entries:
-        for _ in range(e.multiplicity):
-            expanded.append(SpectrumEntry(e.value, e.multiplicity, e.stratum,
-                                          e.block_edges))
-    expanded.sort(key=lambda e: (-e.value, e.stratum))
-    return ExpansionSpectrum(tuple(expanded), base.filtration)
+    return ExpansionSpectrum(
+        tuple(e for e in base.entries for _ in range(e.multiplicity)),
+        base.filtration)
 
 
 def gamma_hat_by_power(f):

@@ -294,3 +294,26 @@ def test_normalize_outer_plateau_cap_warns(monkeypatch, caplog):
         normalize_outer(parse_automorphism("a->ab, b->a"))
     assert any("plateau cap of 1 states (rank 2)" in r.getMessage()
                for r in caplog.records)
+
+
+def test_expansion_pair_logs_at_debug(caplog):
+    """One DEBUG line per pair: lambda, mu, certification and EG block count
+    on each side; nothing is logged above DEBUG."""
+    texts = ["a->ac, b->a, c->b", "a->ab, b->a, c->cd, d->c",
+             "a->bc^-1, b->b^-1, c->ba^-1"]
+    with caplog.at_level("INFO", logger="foldtrack"):
+        for text in texts:
+            expansion_pair(parse_automorphism(text))
+    assert caplog.records == []
+    with caplog.at_level("DEBUG", logger="foldtrack"):
+        for text in texts:
+            expansion_pair(parse_automorphism(text))
+    assert [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("expansion pair")] == [
+        "expansion pair: lambda 1.4655712318767682 (certified True, 1 EG "
+        "blocks), mu 1.324717957244746 (certified True, 1 EG blocks)",
+        "expansion pair: lambda 1.618033988749895 (certified True, 2 EG "
+        "blocks), mu 1.618033988749895 (certified True, 2 EG blocks)",
+        "expansion pair: lambda None (certified True, 0 EG blocks), "
+        "mu None (certified True, 0 EG blocks)",
+    ]

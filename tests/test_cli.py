@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +217,43 @@ def test_experiment_jobs_capped(monkeypatch, tmp_path, jobs, trials, cores,
                      "--out", str(out)]) == 0
     assert asked == ([] if workers is None else [workers])
     assert len(out.read_text().splitlines()) == trials + 2
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+def _experiment_rows(text):
+    lines = text.splitlines()
+    assert lines[0] == "trial\taut\tlambda\tmu\tratio\tfolds\tcertified"
+    assert lines[-1].startswith("# max_ratio\t")
+    return [line.split("\t") for line in lines[1:-1]], lines[-1].split("\t")[1]
+
+
+def _same_number(got, want):
+    if "NA" in (got, want):
+        return got == want
+    return math.isclose(float(got), float(want), rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("experiment_r3_L10_s1.tsv", ["--rank", "3", "--length", "10",
+                                  "--trials", "50", "--seed", "1"]),
+    ("experiment_r4_L30_s2.tsv", ["--rank", "4", "--length", "30",
+                                  "--trials", "10", "--seed", "2"]),
+])
+def test_experiment_matches_golden(tmp_path, name, argv):
+    """trial, aut, folds and certified as recorded; lambda, mu, ratio and
+    max_ratio to a relative 1e-9."""
+    from foldtrack import cli
+    out = tmp_path / name
+    assert cli.main(["experiment", *argv, "--out", str(out)]) == 0
+    rows, max_ratio = _experiment_rows(out.read_text())
+    want_rows, want_max = _experiment_rows((GOLDEN / name).read_text())
+    assert len(rows) == len(want_rows)
+    for row, want in zip(rows, want_rows):
+        assert row[:2] + row[5:] == want[:2] + want[5:]
+        assert all(map(_same_number, row[2:5], want[2:5])), (row, want)
+    assert _same_number(max_ratio, want_max)
 
 
 def test_metric_word_past_length_cap_exit_2(tmp_path):
