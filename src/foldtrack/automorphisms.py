@@ -10,6 +10,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -27,15 +28,14 @@ from .graph_map import (
 from .spectra import ExpansionSpectrum, gamma_hat, spectrum_report
 from .words import (
     WORD_LENGTH_CAP, cyclic_reduce, generates_free_group,
-    invert_automorphism_words, invert_word, reduce_word,
-    simultaneous_conjugator, substitute_reduced,
+    invert_automorphism_words, invert_word, reduce_word, substitute_reduced,
 )
 
 __all__ = [
     "Automorphism", "parse_automorphism", "format_automorphism",
     "rose_graph", "rose_representative", "read_automorphism", "is_inner",
-    "check_train_track", "stable_gates", "word_growth_rate",
-    "random_automorphism", "nielsen_inverse", "fold_inverse",
+    "simultaneously_conjugate", "check_train_track", "stable_gates",
+    "word_growth_rate", "random_automorphism", "fold_inverse",
     "expansion_pair", "ExpansionPair", "expansion_report", "normalize_outer",
 ]
 
@@ -80,16 +80,11 @@ def compose_automorphisms(a, b):
 
 def power(a, n):
     if n < 0:
-        return power(nielsen_inverse(a), -n)
+        raise ValueError("power needs n >= 0, got %d" % n)
     out = Automorphism(a.rank, tuple((i + 1,) for i in range(a.rank)))
     for _ in range(n):
         out = compose_automorphisms(a, out)
     return out
-
-
-def nielsen_inverse(a):
-    """Algebraic inverse computed from the Nielsen move log."""
-    return Automorphism(a.rank, invert_automorphism_words(a.images))
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +199,49 @@ def _letter_totals(ws, letters):
 def normalize_outer(aut):
     """Canonical outer representative: conjugate all images by the word
     minimizing total image length, ties by lexicographically least tuple.
+    Logs a WARNING when the plateau walk stops at PLATEAU_STATE_CAP."""
+    best, finished = _least_conjugate(aut.images, aut.rank)
+    if not finished:
+        log.warning("normalize_outer stopped at the plateau cap of %d "
+                    "states (rank %d)", PLATEAU_STATE_CAP, aut.rank)
+    return Automorphism(aut.rank, best)
+
+
+def simultaneously_conjugate(ws, vs):
+    """True iff some word u has ws[i] = u vs[i] u^-1 (reduced) for every i.
+
+    Conjugate tuples have the same least conjugates, so the answer compares
+    their normal forms.  Raises CapacityError when the plateau walk of the
+    reference tuple vs stops at PLATEAU_STATE_CAP; when only the walk of ws
+    stops there, ws has more least conjugates than vs, so the answer is False.
+    """
+    if len(ws) != len(vs):
+        raise ValueError("tuples must have equal length")
+    ws = tuple(map(reduce_word, ws))
+    vs = tuple(map(reduce_word, vs))
+    # a letter in no word never keeps the total: the walks skip it
+    rank = max(map(abs, chain.from_iterable(ws + vs)), default=0)
+    least, finished = _least_conjugate(vs, rank)
+    if not finished:
+        raise CapacityError("the reference tuple has more than %d least "
+                            "conjugates" % PLATEAU_STATE_CAP)
+    other, finished = _least_conjugate(ws, rank)
+    return finished and other == least
+
+
+def _least_conjugate(images, rank):
+    """The lexicographically least of the conjugates of images with least
+    total length, and whether the walk finished (False when it stopped at
+    PLATEAU_STATE_CAP states, returning the least tuple seen so far).
 
     Total conjugate length is a sum of tree-distance functions of the
     conjugator, hence convex on the Cayley tree: single-letter descent finds
     the minimum and the minimizing conjugators form a connected plateau,
-    which is searched exhaustively for the lexicographic least tuple.  Each
-    letter's total comes from the images' end letters; only the images
-    conjugated by a letter of least total are built.
+    which is walked exhaustively.  Each letter's total comes from the
+    images' end letters; only the images conjugated by a letter of least
+    total are built.
     """
-    images = tuple(aut.images)
+    images = tuple(images)
     # conjugates of reduced words are reduced: only the input is reduced here
     ws = tuple(reduce_word(w) for w in images)
 
@@ -222,7 +251,7 @@ def normalize_outer(aut):
     def conj(ws, x):
         return tuple(_conjugate_by_letter(w, x) for w in ws)
 
-    letters = [s * l for l in range(1, aut.rank + 1) for s in (1, -1)]
+    letters = [s * l for l in range(1, rank + 1) for s in (1, -1)]
     while True:
         totals = _letter_totals(ws, letters)
         least = min(totals, default=None)
@@ -248,10 +277,8 @@ def normalize_outer(aut):
                 seen.add(cand)
                 queue.append((cand, cand))
         if len(seen) > PLATEAU_STATE_CAP:
-            log.warning("normalize_outer stopped at the plateau cap of %d "
-                        "states (rank %d)", PLATEAU_STATE_CAP, aut.rank)
-            break
-    return Automorphism(aut.rank, best)
+            return best, False
+    return best, True
 
 
 def read_automorphism(f):
@@ -279,19 +306,12 @@ def read_automorphism(f):
     return normalize_outer(make_automorphism(phi))
 
 
-def is_inner(images, rank=None):
-    """Decide whether x_i -> images[i] is conjugation by a fixed word.
-
-    Complete: the solution set of each equation w_i = u x_i u^-1 is a coset
-    v_i <x_i>, and the exponent along x_1 is bounded by the image lengths.
-    """
-    if isinstance(images, Automorphism):
-        rank = images.rank
-        images = images.images
-    images = [reduce_word(w) for w in images]
-    n = rank if rank is not None else len(images)
-    basis = [(i + 1,) for i in range(n)]
-    return simultaneous_conjugator(images, basis) is not None
+def is_inner(images):
+    """Decide whether x_i -> images[i] is conjugation by a fixed word: the
+    outer normal form of the images is the basis.  The basis walk always
+    finishes, so this never raises CapacityError."""
+    return simultaneously_conjugate(
+        images, [(i + 1,) for i in range(len(images))])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from .graph import (
     Graph, build_subgraph, components, edge_level, make_graph, pi1_word,
     rank, reverse_path, spanning_tree, stratum, subgraph_closure, tighten,
 )
-from .words import reduce_word, simultaneous_conjugator
+from .words import reduce_word
 
 __all__ = [
     "GraphMap", "make_graph_map", "identity_map", "apply_path", "compose",
@@ -323,14 +323,17 @@ def respects_filtration(f):
 
 def is_marking_respecting(f):
     """Marking compatibility: the f-image of the domain marking agrees with the
-    codomain marking up to one common basepoint-change conjugator."""
+    codomain marking up to one common basepoint-change conjugator, decided
+    by comparing outer normal forms."""
+    from .automorphisms import simultaneously_conjugate
+
     g, h = f.domain, f.codomain
     if g.marking is None or h.marking is None:
         raise ValueError("both graphs must be marked")
     tree = spanning_tree(h)
     ws = [pi1_word(h, apply_path(f, p), tree) for p in g.marking]
     vs = [pi1_word(h, p, tree) for p in h.marking]
-    return simultaneous_conjugator(ws, vs) is not None
+    return simultaneously_conjugate(ws, vs)
 
 
 # -- subdivision ----------------------------------------------------------------

@@ -14,7 +14,7 @@ from .graph import (
     tree_path,
 )
 from .graph_map import GraphMap, edgelet_count, map_length
-from .words import invert_automorphism_words, substitute_reduced
+from .words import invert_automorphism_words, reduce_word, substitute_reduced
 
 __all__ = ["MetricEstimate", "difference_map", "estimate_d",
            "quasi_metric_audit", "twist_family", "slide_normalize"]
@@ -66,17 +66,16 @@ def slide_normalize(f):
     The slide is a homotopy moving f(v) across e': every direction at v gets
     e'^-1 prepended, which strips a letter from directions whose image
     starts with e' and grows collapsed edges by one letter.  A slide is
-    applied only when it strictly shortens the total edge length, so the
-    loop terminates; a step cap of 10 * #edges guards it anyway.  Each
-    slide keeps every image a path between the new vertex images.
+    applied only when it strictly lowers the total edge length, a
+    nonnegative integer, so the loop ends.  Each slide keeps every image a
+    path between the new vertex images.
     """
-    from .words import reduce_word
-
     g, h = f.domain, f.codomain
     vmap = list(f.vertex_map)
     emap = [list(p) for p in f.edge_map]
     links = g.links()
-    for _ in range(10 * max(g.num_edges, 1)):
+    slid = True
+    while slid:
         slid = False
         for v in range(g.num_vertices):
             firsts = set()
@@ -109,8 +108,6 @@ def slide_normalize(f):
                 emap[x - 1] = list(q)
             vmap[v] = h.term(e_prime)
             slid = True
-            break
-        if not slid:
             break
     return GraphMap(g, h, tuple(vmap), tuple(tuple(p) for p in emap))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import CapacityError
 from .folding import certify_homotopy_equivalence
 from .graph import subgraph_closure, subgraph_components, subgraph_rank
-from .graph_map import restrict
+from .graph_map import direction_map, restrict
 
 __all__ = ["ReducibilityVerdict", "is_reducible", "homology_change",
            "witness_conditions"]
@@ -45,26 +45,14 @@ def _no_valence_one(g, edges):
 
 
 def _gates_at_least_two(f, edges):
-    """T(f|X, v) >= 2 for every vertex of the closure of X."""
-    g = f.domain
-    vset, eset = subgraph_closure(g, edges)
-    df = {}
-    for e in eset:
-        p = f.edge_map[e - 1]
-        if p:
-            df[e] = p[0]
-            df[-e] = -p[-1]
-    for v in vset:
-        dirs = set()
-        for e in eset:
-            u, w = g.edge_ends[e - 1]
-            if u == v and e in df:
-                dirs.add(df[e])
-            if w == v and -e in df:
-                dirs.add(df[-e])
-        if len(dirs) < 2:
-            return False
-    return True
+    """T(f|X, v) >= 2 for every vertex of the closure of X: Df takes the
+    non-collapsed directions of X at v (a loop gives two) to at least two
+    directions."""
+    vset, eset = subgraph_closure(f.domain, edges)
+    df = direction_map(f)
+    links = f.domain.links()
+    return all(len({df[d] for d in links[v] if abs(d) in eset and d in df}) >= 2
+               for v in vset)
 
 
 def witness_conditions(f, edges):

@@ -134,18 +134,6 @@ def _power(w, count):
     return w[:t] + w[t:len(w) - t] * count + w[len(w) - t:]
 
 
-def concat(*ws):
-    """Reduced concatenation of words."""
-    out = []
-    for w in ws:
-        for a in w:
-            if out and out[-1] == -a:
-                out.pop()
-            else:
-                out.append(a)
-    return tuple(out)
-
-
 def cyclic_reduce(w):
     w = reduce_word(w)
     k = _cancellation(w, w)
@@ -158,7 +146,7 @@ def cyclic_length(w):
 
 def conjugate(w, u):
     """u * w * u^-1, reduced."""
-    return concat(u, w, invert_word(u))
+    return reduce_word(u + w + invert_word(u))
 
 
 class _ImageTable(dict):
@@ -191,71 +179,6 @@ def substitute(w, images):
 
 def substitute_reduced(w, images):
     return reduce_word(substitute(w, images))
-
-
-def _conjugator_core(w, letter):
-    """If reduce(w) == v letter v^-1 reduced, return v, else None."""
-    w = reduce_word(w)
-    if len(w) % 2 == 0:
-        return None
-    h = len(w) // 2
-    if w[h] != letter:
-        return None
-    v = w[:h]
-    if w[h + 1:] != invert_word(v):
-        return None
-    return v
-
-
-def simultaneous_conjugator(ws, vs):
-    """Find u with ws[i] == u vs[i] u^-1 (reduced) for all i, or None.
-
-    Complete: the solution set of each equation is a coset v_i <x-ish>, and
-    candidate conjugators are enumerated from the first informative equation
-    with an exponent bound derived from the word lengths.
-    """
-    if len(ws) != len(vs):
-        raise ValueError("tuples must have equal length")
-    ws = [reduce_word(w) for w in ws]
-    vs = [reduce_word(v) for v in vs]
-    if all(w == v for w, v in zip(ws, vs)):
-        return ()
-    if not ws:
-        return ()
-
-    def check(u):
-        return all(conjugate(v, u) == w for w, v in zip(ws, vs))
-
-    # Wrap each v_i so the equation reads w = u (c x c^-1) u^-1 with x a letter;
-    # only letter-cored v_i give coset structure, so fall back to a direct
-    # bounded search keyed on the first equation when v_i is not a letter.
-    for i, v in enumerate(vs):
-        if len(v) != 1:
-            continue
-        x = v[0]
-        core = _conjugator_core(ws[i], x)
-        if core is None:
-            return None
-        bound = (max(len(w) for w in ws) + 2 * len(core)) // 2 + 2
-        for a in range(-bound, bound + 1):
-            u = concat(core, (x,) * a if a >= 0 else (-x,) * (-a))
-            if check(u):
-                return u
-        return None
-
-    # General v_i: search u among prefixes of w_i v_i^-1 rearrangements, bounded.
-    w, v = ws[0], vs[0]
-    half = (len(w) + len(v)) // 2 + 1
-    seen = set()
-    for base in (w, invert_word(w)):
-        for k in range(0, min(half, len(base)) + 1):
-            u = base[:k]
-            if u in seen:
-                continue
-            seen.add(u)
-            if check(u):
-                return u
-    return None
 
 
 # ---------------------------------------------------------------------------

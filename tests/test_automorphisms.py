@@ -4,19 +4,19 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from foldtrack.errors import CertificationError, StructuralError
+from foldtrack.errors import CapacityError, CertificationError, StructuralError
 from foldtrack.automorphisms import (
     Automorphism, check_train_track, compose_automorphisms, expansion_pair,
     expansion_report, fold_inverse, format_automorphism, is_inner,
-    nielsen_inverse, normalize_outer, parse_automorphism, power,
-    random_automorphism, read_automorphism, rose_representative,
+    normalize_outer, parse_automorphism, power, random_automorphism,
+    read_automorphism, rose_representative, simultaneously_conjugate,
     word_growth_rate,
 )
 from foldtrack.graph_map import compose, identity_map, tighten_map, transition_matrix
 from foldtrack.spectra import gamma
-from foldtrack.words import conjugate
+from foldtrack.words import conjugate, invert_automorphism_words, reduce_word
 
 
 def test_parse_and_format():
@@ -134,6 +134,67 @@ def test_is_inner_sound_vs_bruteforce_length_8():
         assert is_inner(imgs) == brute(imgs), imgs
 
 
+def _reduced_words(rank, n):
+    """Every reduced word of at most n letters over x_1..x_rank."""
+    out = [()]
+    layer = [()]
+    for _ in range(n):
+        layer = [u + (a,) for u in layer
+                 for a in range(-rank, rank + 1) if a and (not u or u[-1] != -a)]
+        out += layer
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 9), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True),
+       st.lists(st.integers(-4, 4).filter(bool), max_size=12))
+# vs = (b^-1 a b, ab), no single letter; u = ab takes it to (a, ab), and u is
+# no prefix of a or a^-1
+@example(rank=2, length=4, seed=254, ij=[1, 2], u=[1, 2])
+def test_simultaneously_conjugate_on_random_bases(rank, length, seed, ij, u):
+    """Conjugating a basis by any u keeps its outer class, also when no
+    reference word is a single letter; precomposing with a transvection
+    x_i -> x_i x_j leaves it."""
+    vs = random_automorphism(rank, length, np.random.default_rng(seed)).images
+    u = reduce_word([a for a in u if abs(a) <= rank])
+    ws = [conjugate(v, u) for v in vs]
+    assert simultaneously_conjugate(ws, vs)
+    i, j = (min(k, rank) - 1 for k in ij)
+    if i == j:
+        j = (i + 1) % rank
+    moved = list(ws)
+    moved[i] = reduce_word(ws[i] + ws[j])
+    assert not simultaneously_conjugate(moved, vs)
+    if len(u) <= 6:
+        cands = _reduced_words(rank, len(u))
+        for tup, expected in ((ws, True), (moved, False)):
+            assert any(all(conjugate(v, c) == w for v, w in zip(vs, tup))
+                       for c in cands) == expected
+
+
+def test_simultaneously_conjugate_reports_the_cap(monkeypatch):
+    """The twist marking (x_1, x_2 x_1^50) has 51 least conjugates
+    (x_1, x_1^k x_2 x_1^(50-k)): past the cap, the reference walk raises
+    and a walk of the other tuple alone answers False."""
+    import foldtrack.automorphisms as automorphisms
+    monkeypatch.setattr(automorphisms, "PLATEAU_STATE_CAP", 5)
+    twist = [(1,), (2,) + (1,) * 50]
+    with pytest.raises(CapacityError):
+        simultaneously_conjugate(twist, twist)
+    with pytest.raises(CapacityError):
+        simultaneously_conjugate([(1,), (2,)], twist)
+    assert not simultaneously_conjugate(twist, [(1,), (2,)])
+    assert not is_inner(twist)
+
+
+def test_power_refuses_negative_exponent():
+    fib = parse_automorphism("a->ab, b->a")
+    with pytest.raises(ValueError):
+        power(fib, -1)
+    assert power(fib, 0).is_identity()
+
+
 def test_check_train_track():
     fib = parse_automorphism("a->ab, b->a")
     assert check_train_track(tighten_map(rose_representative(fib)))
@@ -212,7 +273,7 @@ def test_fold_inverse_matches_nielsen_inverse():
     for _ in range(20):
         aut = random_automorphism(3, 8, rng)
         a = fold_inverse(aut)[0]
-        b = nielsen_inverse(aut)
+        b = Automorphism(3, invert_automorphism_words(aut.images))
         # same outer class: composing one with the other's inverse is inner
         comp = compose_automorphisms(aut, a)
         assert is_inner(list(comp.images))

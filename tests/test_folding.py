@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foldtrack.automorphisms import simultaneously_conjugate
 from foldtrack.errors import CertificationError, StructuralError
 from foldtrack.folding import (
     FoldSpec, apply_fold, apply_fold_move, certify_homotopy_equivalence,
@@ -18,7 +19,6 @@ from foldtrack.graph_map import (
     make_graph_map, subdivide, tighten_map, transition_matrix,
 )
 from foldtrack.graph import pi1_word
-from foldtrack.words import simultaneous_conjugator
 
 
 def outer_trivial(f):
@@ -35,7 +35,7 @@ def outer_trivial(f):
             tree_path(g, tree, v, g.basepoint)
         ws.append(pi1_word(g, apply_path(f, loop), tree))
         vs.append(pi1_word(g, loop, tree))
-    return simultaneous_conjugator(ws, vs) is not None
+    return simultaneously_conjugate(ws, vs)
 
 
 def test_find_fold_examples(rose2, fibonacci):

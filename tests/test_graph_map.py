@@ -161,6 +161,16 @@ def test_marking_respecting(rose2, fibonacci):
     assert is_marking_respecting(f)
 
 
+def test_marking_respecting_conjugation_by_a_non_letter():
+    """e -> u e u^-1 with u = (ab)^2 is homotopic to the identity; no
+    marking word is a single letter, and u is no prefix of an image word."""
+    g = make_graph(1, [(0, 0)] * 2, basepoint=0, marking=[(1, 2), (1, 2, 2)])
+    u = (1, 2, 1, 2)
+    f = make_graph_map(g, g, (0,), [u + (e,) + reverse_path(u) for e in (1, 2)])
+    assert is_marking_respecting(f)
+    assert not is_marking_respecting(make_graph_map(g, g, (0,), [(1, 2), (2,)]))
+
+
 def test_subdivide(rose2):
     g2, smap = subdivide(rose2, 1, 2)
     assert g2.num_vertices == 2 and g2.num_edges == 3

@@ -23,8 +23,7 @@ from foldtrack.graph import (
     pi1_generators, pi1_word, spanning_tree,
 )
 from foldtrack.words import (
-    _SHORT_WORD, _apply_move, _cancellation, _suffix_repeats, concat,
-    cyclic_reduce, invert_word, max_common_prefix, nielsen_reduce,
+    _SHORT_WORD, _apply_move, _cancellation, _suffix_repeats, cyclic_reduce, invert_word, max_common_prefix, nielsen_reduce,
     reduce_word, substitute, substitute_reduced,
 )
 
@@ -354,10 +353,10 @@ def test_invert_and_cyclic_reduce_match_reference(w):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(any_words, max_size=4), seams())
 def test_concat_matches_reference(ws, seam):
-    assert concat(*ws) == ref_concat(*ws)
-    assert concat(*seam) == ref_concat(*seam)
+    assert reduce_word(tuple(chain.from_iterable(ws))) == ref_concat(*ws)
     u, v = seam
-    assert concat(u, v, invert_word(v)) == ref_reduce_word(u)
+    assert reduce_word(u + v) == ref_concat(*seam)
+    assert reduce_word(u + v + invert_word(v)) == ref_reduce_word(u)
 
 
 @settings(max_examples=80, deadline=None)
