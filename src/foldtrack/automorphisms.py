@@ -241,8 +241,8 @@ def _least_conjugate(images, rank):
     images' end letters; only the images conjugated by a letter of least
     total are built.
     """
-    images = tuple(images)
-    # conjugates of reduced words are reduced: only the input is reduced here
+    # conjugates of reduced words are reduced: only the input is reduced
+    # here, and the descent and the walk start from the reduced tuple
     ws = tuple(reduce_word(w) for w in images)
 
     def total(ws):
@@ -255,19 +255,18 @@ def _least_conjugate(images, rank):
     while True:
         totals = _letter_totals(ws, letters)
         least = min(totals, default=None)
-        if least is None or least >= total(images):
+        if least is None or least >= total(ws):
             break
-        images = ws = min(conj(ws, x) for x, t in zip(letters, totals)
-                          if t == least)
+        ws = min(conj(ws, x) for x, t in zip(letters, totals) if t == least)
     # exhaustive walk of the minimum plateau
-    cur_t = total(images)
-    seen = {images}
-    queue = [(images, ws)]
-    best = images
+    cur_t = total(ws)
+    seen = {ws}
+    queue = [ws]
+    best = ws
     while queue:
-        state, ws = queue.pop()
-        if state < best:
-            best = state
+        ws = queue.pop()
+        if ws < best:
+            best = ws
         totals = _letter_totals(ws, letters)
         for x, t in zip(letters, totals):
             if t != cur_t:
@@ -275,7 +274,7 @@ def _least_conjugate(images, rank):
             cand = conj(ws, x)
             if cand not in seen:
                 seen.add(cand)
-                queue.append((cand, cand))
+                queue.append(cand)
         if len(seen) > PLATEAU_STATE_CAP:
             return best, False
     return best, True

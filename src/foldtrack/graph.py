@@ -11,6 +11,7 @@ Conventions:
 
 import json
 from dataclasses import dataclass, replace
+from operator import index
 
 from .errors import StructuralError
 from .words import invert_word, reduce_word
@@ -146,24 +147,41 @@ def valences(g, edges=None):
 
 # -- edge paths --------------------------------------------------------------
 
+def _check_letters(path, num_edges):
+    """Raise StructuralError unless every letter of a nonempty path is an
+    integer in +-1..+-num_edges.  A few C-level passes and no table: the
+    sum, which is an integer only when every letter is, the least and
+    greatest letters, and a search for 0."""
+    try:
+        index(sum(path))
+        ok = -num_edges <= min(path) and max(path) <= num_edges \
+            and 0 not in path
+    except TypeError:
+        ok = False
+    if not ok:
+        raise StructuralError("path names a letter outside the edges "
+                              "+-1..+-%d" % num_edges)
+
+
 def path_endpoints(g, path):
     """(init, term) of a nonempty endpoint-compatible path; raises otherwise.
 
-    Every step is looked up in tables of signed edge ids, so a letter that
-    names no edge (0, or beyond +-E) raises StructuralError as well.
+    The letters are checked once, so that they can index lists of edge ends;
+    on a one-vertex graph every path of edges is compatible and no table is
+    read.
     """
     if not path:
         raise StructuralError("empty path has no endpoints")
-    inits, terms = {}, {}
+    _check_letters(path, g.num_edges)
+    if g.num_vertices == 1:
+        return 0, 0
+    inits = [None] * (2 * g.num_edges + 1)  # indexed by signed edge id
+    terms = inits[:]
     for e, (u, v) in enumerate(g.edge_ends, start=1):
         inits[e] = terms[-e] = u
         terms[e] = inits[-e] = v
-    try:
-        starts = list(map(inits.__getitem__, path))
-        stops = list(map(terms.__getitem__, path))
-    except KeyError as exc:
-        raise StructuralError("path names edge %s outside +-1..+-%d"
-                              % (exc, g.num_edges)) from None
+    starts = list(map(inits.__getitem__, path))
+    stops = list(map(terms.__getitem__, path))
     if starts[1:] != stops[:-1]:
         raise StructuralError("path steps not endpoint-compatible")
     return starts[0], stops[-1]
@@ -384,16 +402,28 @@ def pi1_word(g, path, tree=None, gens=None):
     tree = spanning_tree(g) if tree is None else tree
     if gens is None:
         gens = pi1_generators(g, tree)
-    letter = {}
+    if path:
+        _check_letters(path, g.num_edges)
+    return _pi1_word(g, path, tree, gens)
+
+
+def _pi1_word(g, path, tree, gens):
+    """pi1_word of a path whose letters are checked.  With an empty tree
+    and the generators 1..E the letters are the word's: only the
+    reduction reads it."""
+    gens = list(gens)
+    if not tree and gens == list(g.edge_ids):
+        return reduce_word(path)
+    letter = [None] * (2 * g.num_edges + 1)
     for e in tree:
         letter[e] = letter[-e] = 0
     for i, e in enumerate(gens, start=1):
         letter[e], letter[-e] = i, -i
-    try:
-        return reduce_word(tuple(filter(None, map(letter.__getitem__, path))))
-    except KeyError as exc:
-        raise StructuralError("path names edge %s outside the tree and the "
-                              "pi_1 generators" % exc) from None
+    word = list(map(letter.__getitem__, path))
+    if None in letter[1:] and None in word:
+        raise StructuralError("path names an edge outside the tree and the "
+                              "pi_1 generators")
+    return reduce_word(tuple(filter(None, word)))
 
 
 # -- JSON interchange ---------------------------------------------------------
@@ -414,17 +444,25 @@ def graph_to_json(g):
 
 
 def graph_from_json(data):
-    """Decode and validate a graph; malformed input raises StructuralError."""
+    """Decode and validate a graph; malformed input raises StructuralError.
+
+    Marking letters are signed JSON edge ids.  When the ids are 1..E they
+    are the graph's letters, and make_graph checks them; other ids are
+    renumbered through a table keyed by unsigned id."""
     try:
         vs = list(data["vertices"])
         vmap = {v: i for i, v in enumerate(vs)}
         edges = sorted(data["edges"], key=lambda d: d["id"])
-        emap = {d["id"]: i + 1 for i, d in enumerate(edges)}
-        signed = {**emap, **{-e: -i for e, i in emap.items()}}
+        ids = [d["id"] for d in edges]
+        emap = {e: i for i, e in enumerate(ids, start=1)}
         ends = [(vmap[d["from"]], vmap[d["to"]]) for d in edges]
         marking = data.get("marking")
         if marking is not None:
-            marking = [tuple(map(signed.__getitem__, p)) for p in marking]
+            if ids == list(range(1, len(ids) + 1)):
+                marking = [tuple(p) for p in marking]
+            else:
+                marking = [tuple([emap[a] if a > 0 else -emap[-a] for a in p])
+                           for p in marking]
         filtration = [frozenset(emap[e] for e in lev)
                       for lev in data.get("filtration") or ()]
         base = data.get("basepoint")

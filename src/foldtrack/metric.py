@@ -9,12 +9,9 @@ is not attempted, and outputs are labeled accordingly.
 import math
 from dataclasses import dataclass
 
-from .graph import (
-    make_graph, pi1_generators, pi1_word, rank, reverse_path, spanning_tree,
-    tree_path,
-)
+from .graph import _pi1_word, make_graph, pi1_generators, rank, spanning_tree
 from .graph_map import GraphMap, edgelet_count, map_length
-from .words import invert_automorphism_words, reduce_word, substitute_reduced
+from .words import _invert_reduced, _substitute_seams, reduce_word
 
 __all__ = ["MetricEstimate", "difference_map", "estimate_d",
            "quasi_metric_audit", "twist_family", "slide_normalize"]
@@ -46,17 +43,14 @@ def difference_map(g, h):
         raise ValueError("rank mismatch: %d vs %d" % (rank(g), rank(h)))
     tree = spanning_tree(g)
     gens = pi1_generators(g, tree)
-    m_images = [pi1_word(g, p, tree, gens) for p in g.marking]
-    m_inv = invert_automorphism_words(m_images)  # basis words in marking letters
+    # the markings were checked where they entered (make_graph): each word
+    # is reduced once here and not scanned again
+    m_images = [_pi1_word(g, p, tree, gens) for p in g.marking]
+    m_inv = _invert_reduced(m_images)  # basis words in marking letters
+    images = _substitute_seams(m_inv, [reduce_word(p) for p in h.marking])
     vmap = tuple(h.basepoint for _ in range(g.num_vertices))
-    emap = []
     gen_index = {e: i for i, e in enumerate(gens)}
-    for e in g.edge_ids:
-        if e in tree:
-            emap.append(())
-        else:
-            word = substitute_reduced(m_inv[gen_index[e]], h.marking)
-            emap.append(word)
+    emap = [() if e in tree else images[gen_index[e]] for e in g.edge_ids]
     return GraphMap(g, h, vmap, tuple(emap))
 
 

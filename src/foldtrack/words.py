@@ -6,7 +6,7 @@ graphs (see graph.py), so the reduction helpers here are shared.
 """
 
 from collections import deque
-from itertools import chain
+from itertools import chain, islice
 from operator import add, neg
 
 from .errors import CapacityError, CertificationError, StructuralError
@@ -149,36 +149,98 @@ def conjugate(w, u):
     return reduce_word(u + w + invert_word(u))
 
 
-class _ImageTable(dict):
-    """Signed letter -> image word of an endomorphism; the image of -a is
-    inverted from the image of a the first time it is read."""
+def _image_table(images, inverses=True):
+    """Image words indexed by signed letter: table[a] is the image of a,
+    table[-a] its inverse (None unless `inverses`), table[0] None.  A list
+    lookup does not hash, so no letter costs more than another (in CPython
+    hash(-1) == hash(-2), and a dict keyed by signed letters that holds -1
+    probes past it for -2)."""
+    table = [None] * (2 * len(images) + 1)
+    for a, w in enumerate(images, 1):
+        table[a] = w
+        if inverses:
+            table[-a] = invert_word(w)
+    return table
 
-    __slots__ = ()
 
-    def __missing__(self, a):
-        if a >= 0 or -a not in self:
-            raise StructuralError("letter %r names no generator" % (a,))
-        inverse = self[a] = invert_word(self[-a])
-        return inverse
-
-
-def substitute(w, images):
-    """Apply the endomorphism x_i -> images[i-1] to a word.  Not reduced.
-
-    Raises CapacityError when the output would exceed WORD_LENGTH_CAP."""
-    table = _ImageTable(enumerate(images, 1))
-    parts = list(map(table.__getitem__, w))
+def _check_capacity(parts, images):
     if len(parts) * max(map(len, images), default=0) > WORD_LENGTH_CAP:
         n = sum(map(len, parts))
         if n > WORD_LENGTH_CAP:
             raise CapacityError(
                 "substitution would build a %d-letter word (cap %d)"
                 % (n, WORD_LENGTH_CAP))
-    return tuple(chain.from_iterable(parts))
+
+
+def substitute(w, images):
+    """Apply the endomorphism x_i -> images[i-1] to a word.  Not reduced.
+
+    The word's least and greatest letters are checked before its letters
+    index the image table (whose slot 0 is None, which joins no word);
+    inverses are built only when the word has a negative letter.  Raises
+    CapacityError when the output would exceed WORD_LENGTH_CAP."""
+    n = len(images)
+    try:
+        lo, hi = (min(w), max(w)) if w else (1, 1)
+        if -n <= lo and hi <= n:
+            parts = list(map(_image_table(images, lo < 0).__getitem__, w))
+            _check_capacity(parts, images)
+            return tuple(chain.from_iterable(parts))
+    except TypeError:
+        pass
+    raise StructuralError("word names a letter outside +-1..+-%d" % n)
 
 
 def substitute_reduced(w, images):
     return reduce_word(substitute(w, images))
+
+
+def _substitute_seams(ws, images):
+    """reduce_word(substitute(w, images)) for each w of ws, where the words
+    and the images are reduced and their letters in range.
+
+    Only the seams between consecutive images can cancel.  A signed
+    permutation keeps a reduced word reduced: one lookup pass, none for the
+    identity.  Otherwise the seams are read off the images' end letters in
+    one pass over w; a word whose seams do not cancel is joined without a
+    scan, and one whose seams do is joined image by image, cancelling at
+    each seam.  Images are inverted only when some word has a negative
+    letter.
+    """
+    n = len(images)
+    if all(len(x) == 1 for x in images) and \
+            len({abs(x[0]) for x in images}) == n:
+        if all(x[0] == a for a, x in enumerate(images, 1)):
+            return tuple(ws)
+        perm = [0] * (2 * n + 1)
+        for a, (b,) in enumerate(images, 1):
+            perm[a], perm[-a] = b, -b
+        return tuple(tuple(map(perm.__getitem__, w)) for w in ws)
+    if not all(images):
+        return tuple(reduce_word(substitute(w, images)) for w in ws)
+    table = _image_table(images, any(min(w) < 0 for w in ws if w))
+    heads = [x and x[0] for x in table]
+    tails = [x and x[-1] for x in table]
+    out = []
+    for w in ws:
+        parts = list(map(table.__getitem__, w))
+        _check_capacity(parts, images)
+        if 0 not in map(add, map(tails.__getitem__, w),
+                        map(heads.__getitem__, islice(w, 1, None))):
+            out.append(tuple(chain.from_iterable(parts)))
+            continue
+        acc = []
+        for p in parts:
+            if acc and acc[-1] == -p[0]:
+                k, m = 1, min(len(acc), len(p))
+                while k < m and acc[-1 - k] == -p[k]:
+                    k += 1
+                del acc[-k:]
+                acc.extend(p[k:])
+            else:
+                acc.extend(p)
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +370,12 @@ def nielsen_reduce(words):
     Returns (final_tuple, moves).  The moves log, applied in order to the
     input tuple, yields the final tuple.
     """
-    ws = [reduce_word(w) for w in words]
+    return _nielsen_reduce([reduce_word(w) for w in words])
+
+
+def _nielsen_reduce(ws):
+    """nielsen_reduce of reduced words: they are not scanned again."""
+    ws = list(ws)
     rank = len(ws)
     moves = []
     while True:
@@ -356,8 +423,15 @@ def invert_automorphism_words(images):
     phi o rho_1 o ... o rho_t = sigma (a signed permutation), giving
     phi^-1 = rho_1 o ... o rho_t o sigma^-1.
     """
+    return _invert_reduced([reduce_word(w) for w in images])
+
+
+def _invert_reduced(images):
+    """invert_automorphism_words of reduced words: they are not scanned
+    again, and every word of the assembly is reduced, so each elementary
+    map is substituted seam by seam."""
     rank = len(images)
-    final, moves = nielsen_reduce(images)
+    final, moves = _nielsen_reduce(images)
     perm = _is_signed_permutation(final, rank)
     if perm is None:
         raise CertificationError(
@@ -375,5 +449,5 @@ def invert_automorphism_words(images):
             rho[i] = (i + 1,) + tail
         else:
             rho[i] = tail + (i + 1,)
-        psi = [substitute_reduced(w, rho) for w in psi]
+        psi = _substitute_seams(psi, rho)
     return tuple(psi)

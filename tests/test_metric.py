@@ -117,3 +117,36 @@ def test_witnesses_stay_in_class_on_random_graphs():
         assert is_marking_respecting(est.witness)
         assert certify_homotopy_equivalence(est.witness)
         assert est.value > 0
+
+
+def test_twist_metric_costs_the_same_for_either_sign(tmp_path):
+    """In CPython hash(-1) == hash(-2), so in a table keyed by signed letters
+    that holds -1 every lookup of -2 probes past it.  The marking x1 x2^-m
+    reads -2 at every letter; loading it and estimating d both ways must
+    take less than 1.5 times as long as for x1 x2^m (m = 10^5, best of 5,
+    alternating)."""
+    import json
+    import time
+    from foldtrack.graph import load_graph
+    m = 100_000
+    edges = [{"id": 1, "from": 0, "to": 0}, {"id": 2, "from": 0, "to": 0}]
+    paths = {}
+    for name, marking in (("g0", [[1], [2]]), ("1p", [[1] + [2] * m, [2]]),
+                          ("1n", [[1] + [-2] * m, [2]])):
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(json.dumps({
+            "rank": 2, "vertices": [0], "edges": edges, "basepoint": 0,
+            "marking": marking}))
+
+    def op(name):
+        start = time.perf_counter()
+        g0, gm = load_graph(paths["g0"]), load_graph(paths[name])
+        estimate_d(g0, gm)
+        estimate_d(gm, g0)
+        return time.perf_counter() - start
+
+    best = {"1p": float("inf"), "1n": float("inf")}
+    for _ in range(5):
+        for name in best:
+            best[name] = min(best[name], op(name))
+    assert best["1n"] < 1.5 * best["1p"], best

@@ -7,12 +7,13 @@ including the Nielsen move log.  Long words (10^4+ letters) are built from
 drawn blocks and repeat counts so that hypothesis stays fast.
 """
 
+import json
 from collections import deque
 from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from foldtrack.automorphisms import (
     Automorphism, normalize_outer, random_automorphism, rose_graph,
@@ -22,9 +23,13 @@ from foldtrack.graph import (
     graph_from_json, graph_to_json, make_graph, path_endpoints,
     pi1_generators, pi1_word, spanning_tree,
 )
+from foldtrack.graph_map import GraphMap, edgelet_count, map_length, subdivide
+from foldtrack.metric import difference_map, estimate_d, slide_normalize
 from foldtrack.words import (
-    _SHORT_WORD, _apply_move, _cancellation, _suffix_repeats, cyclic_reduce, invert_word, max_common_prefix, nielsen_reduce,
-    reduce_word, substitute, substitute_reduced,
+    _SHORT_WORD, _apply_move, _cancellation, _substitute_seams,
+    _suffix_repeats, cyclic_reduce, invert_automorphism_words, invert_word,
+    max_common_prefix, nielsen_reduce, reduce_word, substitute,
+    substitute_reduced,
 )
 
 
@@ -231,7 +236,7 @@ def ref_pi1_word(g, path, tree=None, gens=None):
 
 
 def ref_normalize_outer(aut):
-    images = tuple(aut.images)
+    images = tuple(ref_reduce_word(w) for w in aut.images)
 
     def total(ws):
         return sum(len(w) for w in ws)
@@ -268,6 +273,47 @@ def ref_normalize_outer(aut):
         if len(seen) > 10_000:
             break
     return best
+
+
+def ref_invert_automorphism_words(images):
+    """The Nielsen inverse, each elementary map substituted and then reduced
+    letter by letter."""
+    rank = len(images)
+    final, moves = ref_nielsen_reduce(images)
+    psi = [None] * rank
+    for i, (p,) in enumerate(final):
+        psi[abs(p) - 1] = ((i + 1) if p > 0 else -(i + 1),)
+    for side, i, j, eps, count in reversed(moves):
+        rho = [(k + 1,) for k in range(rank)]
+        tail = ((j + 1) if eps > 0 else -(j + 1),) * count
+        rho[i] = (i + 1,) + tail if side == "R" else tail + (i + 1,)
+        psi = [ref_reduce_word(ref_substitute(w, rho)) for w in psi]
+    return tuple(psi)
+
+
+def ref_difference_map(g, h):
+    """The canonical difference map as it was computed before seam-only
+    substitution: letter-by-letter pi_1 words, the inverse above, and each
+    edge image substituted into the unreduced codomain marking and then
+    reduced."""
+    tree = spanning_tree(g)
+    gens = pi1_generators(g, tree)
+    m_inv = ref_invert_automorphism_words(
+        [ref_pi1_word(g, p, tree, gens) for p in g.marking])
+    emap = tuple(
+        () if e in tree
+        else ref_reduce_word(ref_substitute(m_inv[gens.index(e)], h.marking))
+        for e in g.edge_ids)
+    return GraphMap(g, h, (h.basepoint,) * g.num_vertices, emap)
+
+
+def ref_estimate_d(g, h):
+    f = ref_difference_map(g, h)
+    candidates = [(map_length(f), f, "canonical")]
+    slid = slide_normalize(f)
+    if edgelet_count(slid) > 0:
+        candidates.append((map_length(slid), slid, "fold-normalized"))
+    return min(candidates, key=lambda t: t[0])
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +455,66 @@ def test_substitute_matches_reference(case):
 
 
 def test_substitute_rejects_letters_outside_the_images():
-    for w in ((0,), (1, 3), (-3,)):
+    for w in ((0,), (1, 3), (-3,), (1, 0, 2), (4,), (-5,), (1.5,), ("a",),
+              ([1],)):
         with pytest.raises(StructuralError):
             substitute(w, [(1,), (2,)])
+
+
+@st.composite
+def seam_substitutions(draw):
+    """(ws, images): reduced words and reduced images whose seams cancel.
+
+    Images share a stretch c at their ends (c, c^-1, y c, c^-1 y), so that
+    a seam can cancel whole images; or they are single letters that need
+    not be injective, such as ((1,), (-1,)); or a signed permutation; or
+    random, possibly empty.  Either the images or the words are long, not
+    both, so that the letter-by-letter reference stays fast."""
+    rank = draw(st.integers(1, 3))
+    long_images = draw(st.booleans())
+    stretch = long_words(rank, 500) if long_images \
+        else st.lists(letters(rank), min_size=1, max_size=6).map(tuple)
+    kind = draw(st.sampled_from(("shared", "letters", "permutation", "any")))
+    if kind == "shared":
+        c = ref_reduce_word(draw(stretch))
+        ends = st.sampled_from(((), c, ref_invert_word(c)))
+        images = []
+        for _ in range(rank):
+            x = ref_reduce_word(draw(ends) + draw(st.lists(
+                letters(rank), max_size=3).map(tuple)) + draw(ends))
+            images.append(x or (rank,))
+    elif kind == "letters":
+        images = [(draw(letters(rank)),) for _ in range(rank)]
+    elif kind == "permutation":
+        perm = draw(st.permutations(range(1, rank + 1)))
+        images = [(draw(st.sampled_from((1, -1))) * a,) for a in perm]
+    else:
+        images = [ref_reduce_word(draw(st.one_of(
+            st.lists(letters(rank), max_size=6).map(tuple), stretch)))
+            for _ in range(rank)]
+    words = st.lists(letters(rank), max_size=12).map(tuple)
+    if not long_images:
+        words = st.one_of(words, long_words(rank, 1000))
+    ws = draw(st.lists(words.map(ref_reduce_word), min_size=1, max_size=3))
+    return tuple(ws), tuple(images)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seam_substitutions())
+def test_seam_substitution_matches_reduced_substitution(case):
+    ws, images = case
+    expected = tuple(ref_reduce_word(ref_substitute(w, images)) for w in ws)
+    assert _substitute_seams(ws, images) == expected
+    assert tuple(reduce_word(substitute(w, images)) for w in ws) == expected
+
+
+def test_seam_substitution_cancels_whole_images():
+    c = (1, 2) * 3000
+    images = (c, invert_word(c) + (1,))
+    assert _substitute_seams(((1, 2, 1, 2),), images) == \
+        (ref_reduce_word(ref_substitute((1, 2, 1, 2), images)),)
+    assert _substitute_seams(((1, 2), (2, 1), (-1, -2)), ((1,), (-1,))) == \
+        ((), (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +631,145 @@ def test_marking_letters_outside_the_edges_rejected(bad):
         graph_from_json(data)
 
 
+@pytest.mark.parametrize("ids", [(1, 2), (7, 9)])
+@pytest.mark.parametrize("letter", [0, 3, -3, 8, 1.5, "a", [1], None])
+def test_graph_from_json_rejects_marking_letters_naming_no_edge(ids, letter):
+    """Letters 0, +-(E+1), an id between the JSON ids, and non-integers
+    are refused whether the JSON ids are 1..E or not."""
+    data = {"rank": 2, "vertices": [0], "basepoint": 0,
+            "edges": [{"id": i, "from": 0, "to": 0} for i in ids],
+            "marking": [[ids[0]], [ids[1], letter]]}
+    with pytest.raises(StructuralError):
+        graph_from_json(data)
+
+
+def test_graph_from_json_renumbers_json_ids():
+    g = _graphs()[2]
+    data = graph_to_json(g)
+    assert graph_from_json(data) == g
+    new_id = {1: 30, 2: 10, 3: 20}
+    for d in data["edges"]:
+        d["id"] = new_id[d["id"]]
+    data["marking"] = [[new_id[a] if a > 0 else -new_id[-a] for a in p]
+                       for p in data["marking"]]
+    h = graph_from_json(data)
+    # edges are renumbered in the order of their JSON ids
+    order = {10: 1, 20: 2, 30: 3}
+    assert h.edge_ends == tuple(g.edge_ends[e - 1]
+                                for e in sorted(new_id, key=new_id.get))
+    assert h.marking == tuple(
+        tuple(order[new_id[a]] if a > 0 else -order[new_id[-a]] for a in p)
+        for p in g.marking)
+
+
+def test_metric_command_refuses_a_bad_marking_letter(tmp_path):
+    from foldtrack.cli import main
+    g0 = tmp_path / "g0.json"
+    bad = tmp_path / "bad.json"
+    data = graph_to_json(rose_graph(2))
+    g0.write_text(json.dumps(data))
+    data["marking"][1].append(1.5)
+    bad.write_text(json.dumps(data))
+    assert main(["metric", str(g0), str(bad)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# difference maps and metric estimates
+# ---------------------------------------------------------------------------
+
+TWIST_LABELINGS = [(petal, sign, left) for petal in (1, 2) for sign in (1, -1)
+                   for left in (False, True)]
+
+
+def twist_graph(m, petal, sign, left):
+    """The rank-2 rose from JSON, petal x_t remarked to x_t x_o^(sign m), or
+    to x_o^(sign m) x_t when `left`."""
+    power = [sign * (3 - petal)] * m
+    marking = [[1], [2]]
+    marking[petal - 1] = power + [petal] if left else [petal] + power
+    return graph_from_json({
+        "rank": 2, "vertices": [0], "basepoint": 0, "marking": marking,
+        "edges": [{"id": 1, "from": 0, "to": 0}, {"id": 2, "from": 0, "to": 0}]})
+
+
+def _base_graphs():
+    return _graphs() + [subdivide(rose_graph(2), 1, 3)[0],
+                        subdivide(_graphs()[1], 2, 2)[0]]
+
+
+@st.composite
+def remarked_graphs(draw, rank):
+    """A graph of rank `rank`, one vertex or several, remarked through a
+    random automorphism.  The new marking paths are the old marking loops
+    joined as they are, with backtracks inserted, so they are unreduced."""
+    g = draw(st.sampled_from([b for b in _base_graphs()
+                              if len(b.marking) == rank]))
+    aut = random_automorphism(rank, draw(st.integers(0, 8)),
+                              np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    links = g.links()
+    paths = []
+    for w in aut.images:
+        p = list(ref_substitute(w, g.marking))
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(p)))
+            v = g.basepoint if i == 0 else g.term(p[i - 1])
+            d = draw(st.sampled_from(links[v]))
+            p[i:i] = [d, -d]
+        paths.append(tuple(p))
+    return make_graph(g.num_vertices, g.edge_ends, basepoint=g.basepoint,
+                      marking=paths)
+
+
+@st.composite
+def graph_pairs(draw):
+    rank = draw(st.integers(2, 3))
+    return draw(remarked_graphs(rank)), draw(remarked_graphs(rank))
+
+
+def assert_estimate_matches_reference(g, h):
+    f = difference_map(g, h)
+    ref = ref_difference_map(g, h)
+    assert f.vertex_map == ref.vertex_map
+    assert f.edge_map == ref.edge_map
+    est = estimate_d(g, h)
+    value, witness, method = ref_estimate_d(g, h)
+    assert (est.value, est.method) == (value, method)
+    assert est.witness.vertex_map == witness.vertex_map
+    assert est.witness.edge_map == witness.edge_map
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_pairs())
+def test_difference_map_matches_reference(pair):
+    g, h = pair
+    assert_estimate_matches_reference(g, h)
+    assert_estimate_matches_reference(h, g)
+
+
+@pytest.mark.parametrize("labeling", TWIST_LABELINGS)
+def test_twist_estimates_match_reference(labeling):
+    g0 = twist_graph(0, *labeling)
+    for m in (1, 2, 65, 2000):
+        gm = twist_graph(m, *labeling)
+        assert_estimate_matches_reference(g0, gm)
+        assert_estimate_matches_reference(gm, g0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TWIST_LABELINGS), st.sampled_from(TWIST_LABELINGS),
+       st.integers(0, 1500), st.integers(0, 1500))
+def test_estimates_between_twists_match_reference(a, b, m, k):
+    assert_estimate_matches_reference(twist_graph(m, *a), twist_graph(k, *b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(twisted_bases(), automorphism_images()))
+def test_invert_automorphism_words_matches_reference(ws):
+    # a conjugator may name a letter beyond the rank: then ws is no basis
+    assume(max(map(abs, chain.from_iterable(ws)), default=0) <= len(ws))
+    assert invert_automorphism_words(ws) == ref_invert_automorphism_words(ws)
+
+
 # ---------------------------------------------------------------------------
 # outer normal form
 # ---------------------------------------------------------------------------
@@ -551,3 +793,15 @@ def conjugated_automorphisms(draw):
 @given(conjugated_automorphisms())
 def test_normalize_outer_matches_reference(aut):
     assert normalize_outer(aut).images == ref_normalize_outer(aut)
+
+
+@pytest.mark.parametrize("images, expected", [
+    (((1, 2, -2), (2,)), ((1,), (2,))),
+    (((1,), (2, 3, -3), (3, -1, 1)), ((1,), (2,), (3,))),
+])
+def test_normalize_outer_of_unreduced_images(images, expected):
+    """The descent and the plateau walk start from the reduced images, not
+    from the unreduced input and its larger total."""
+    aut = Automorphism(len(images), images)
+    assert normalize_outer(aut).images == expected
+    assert ref_normalize_outer(aut) == expected
