@@ -11,10 +11,10 @@ Conventions:
 
 import json
 from dataclasses import dataclass, replace
-from operator import index
+from operator import countOf
 
 from .errors import StructuralError
-from .words import invert_word, reduce_word
+from .words import _check_letters, invert_word, reduce_word
 
 __all__ = [
     "Graph", "make_graph", "rank", "components", "tighten", "reverse_path",
@@ -146,22 +146,6 @@ def valences(g, edges=None):
 
 
 # -- edge paths --------------------------------------------------------------
-
-def _check_letters(path, num_edges):
-    """Raise StructuralError unless every letter of a nonempty path is an
-    integer in +-1..+-num_edges.  A few C-level passes and no table: the
-    sum, which is an integer only when every letter is, the least and
-    greatest letters, and a search for 0."""
-    try:
-        index(sum(path))
-        ok = -num_edges <= min(path) and max(path) <= num_edges \
-            and 0 not in path
-    except TypeError:
-        ok = False
-    if not ok:
-        raise StructuralError("path names a letter outside the edges "
-                              "+-1..+-%d" % num_edges)
-
 
 def path_endpoints(g, path):
     """(init, term) of a nonempty endpoint-compatible path; raises otherwise.
@@ -443,12 +427,19 @@ def graph_to_json(g):
     return data
 
 
+def _all_ints(seq):
+    """True when every item of a sequence has type int (not bool or
+    float)."""
+    return countOf(map(type, seq), int) == len(seq)
+
+
 def graph_from_json(data):
     """Decode and validate a graph; malformed input raises StructuralError.
 
-    Marking letters are signed JSON edge ids.  When the ids are 1..E they
-    are the graph's letters, and make_graph checks them; other ids are
-    renumbered through a table keyed by unsigned id."""
+    Marking letters are signed JSON edge ids.  When the ids are the ints
+    1..E, a path of int letters is the graph's path, and make_graph checks
+    it; other ids, and letters of other types (true, 2.0), are renumbered
+    to ints through a table keyed by unsigned id."""
     try:
         vs = list(data["vertices"])
         vmap = {v: i for i, v in enumerate(vs)}
@@ -458,11 +449,11 @@ def graph_from_json(data):
         ends = [(vmap[d["from"]], vmap[d["to"]]) for d in edges]
         marking = data.get("marking")
         if marking is not None:
-            if ids == list(range(1, len(ids) + 1)):
-                marking = [tuple(p) for p in marking]
-            else:
-                marking = [tuple([emap[a] if a > 0 else -emap[-a] for a in p])
-                           for p in marking]
+            same = ids == list(range(1, len(ids) + 1)) and _all_ints(ids)
+            paths = [tuple(p) for p in marking]
+            marking = [p if same and _all_ints(p) else
+                       tuple([emap[a] if a > 0 else -emap[-a] for a in p])
+                       for p in paths]
         filtration = [frozenset(emap[e] for e in lev)
                       for lev in data.get("filtration") or ()]
         base = data.get("basepoint")

@@ -43,7 +43,8 @@ def difference_map(g, h):
         raise ValueError("rank mismatch: %d vs %d" % (rank(g), rank(h)))
     tree = spanning_tree(g)
     gens = pi1_generators(g, tree)
-    # the markings were checked where they entered (make_graph): each word
+    # marking letters are trusted: make_graph checks them where a graph
+    # enters, and the graphs built internally carry valid paths.  Each word
     # is reduced once here and not scanned again
     m_images = [_pi1_word(g, p, tree, gens) for p in g.marking]
     m_inv = _invert_reduced(m_images)  # basis words in marking letters

@@ -7,7 +7,7 @@ graphs (see graph.py), so the reduction helpers here are shared.
 
 from collections import deque
 from itertools import chain, islice
-from operator import add, neg
+from operator import add, index, neg
 
 from .errors import CapacityError, CertificationError, StructuralError
 
@@ -22,6 +22,21 @@ WORD_LENGTH_CAP = 50_000_000
 # Words up to this length are reduced letter by letter: setting up the
 # scan for a cancelling pair costs more than the loop.
 _SHORT_WORD = 64
+
+
+def _check_letters(word, n):
+    """Raise StructuralError unless every letter of a nonempty word is an
+    integer in +-1..+-n, so that the letters can index lists of length
+    2n + 1.  A few C-level passes and no table: the sum, which is an
+    integer only when every letter is, the least and greatest letters, and
+    a search for 0."""
+    try:
+        index(sum(word))
+        ok = -n <= min(word) and max(word) <= n and 0 not in word
+    except TypeError:
+        ok = False
+    if not ok:
+        raise StructuralError("word names a letter outside +-1..+-%d" % n)
 
 
 def reduce_word(letters):
@@ -149,18 +164,17 @@ def conjugate(w, u):
     return reduce_word(u + w + invert_word(u))
 
 
-def _image_table(images, inverses=True):
-    """Image words indexed by signed letter: table[a] is the image of a,
-    table[-a] its inverse (None unless `inverses`), table[0] None.  A list
-    lookup does not hash, so no letter costs more than another (in CPython
-    hash(-1) == hash(-2), and a dict keyed by signed letters that holds -1
-    probes past it for -2)."""
-    table = [None] * (2 * len(images) + 1)
-    for a, w in enumerate(images, 1):
-        table[a] = w
-        if inverses:
-            table[-a] = invert_word(w)
-    return table
+class _ImageTable(dict):
+    """Signed letter -> image word of an endomorphism; the image of -a is
+    inverted from the image of a the first time it is read."""
+
+    __slots__ = ()
+
+    def __missing__(self, a):
+        if a >= 0 or -a not in self:
+            raise StructuralError("letter %r names no generator" % (a,))
+        inverse = self[a] = invert_word(self[-a])
+        return inverse
 
 
 def _check_capacity(parts, images):
@@ -175,47 +189,50 @@ def _check_capacity(parts, images):
 def substitute(w, images):
     """Apply the endomorphism x_i -> images[i-1] to a word.  Not reduced.
 
-    The word's least and greatest letters are checked before its letters
-    index the image table (whose slot 0 is None, which joins no word);
-    inverses are built only when the word has a negative letter.  Raises
+    A letter that names no generator raises StructuralError.  Raises
     CapacityError when the output would exceed WORD_LENGTH_CAP."""
-    n = len(images)
+    table = _ImageTable(enumerate(images, 1))
     try:
-        lo, hi = (min(w), max(w)) if w else (1, 1)
-        if -n <= lo and hi <= n:
-            parts = list(map(_image_table(images, lo < 0).__getitem__, w))
-            _check_capacity(parts, images)
-            return tuple(chain.from_iterable(parts))
+        parts = list(map(table.__getitem__, w))
     except TypeError:
-        pass
-    raise StructuralError("word names a letter outside +-1..+-%d" % n)
+        raise StructuralError("word has a letter that names no generator"
+                              ) from None
+    _check_capacity(parts, images)
+    return tuple(chain.from_iterable(parts))
 
 
 def substitute_reduced(w, images):
     return reduce_word(substitute(w, images))
 
 
+def _image_table(images, inverses=True):
+    """Image words indexed by signed letter: table[a] is the image of a,
+    table[-a] its inverse (None unless `inverses`), table[0] None.  A list
+    lookup does not hash, so no letter costs more than another (in CPython
+    hash(-1) == hash(-2), and a dict keyed by signed letters that holds -1
+    probes past it for -2)."""
+    table = [None] * (2 * len(images) + 1)
+    for a, w in enumerate(images, 1):
+        table[a] = w
+        if inverses:
+            table[-a] = invert_word(w)
+    return table
+
+
 def _substitute_seams(ws, images):
     """reduce_word(substitute(w, images)) for each w of ws, where the words
-    and the images are reduced and their letters in range.
+    and the images are reduced and their letters checked.
 
-    Only the seams between consecutive images can cancel.  A signed
-    permutation keeps a reduced word reduced: one lookup pass, none for the
-    identity.  Otherwise the seams are read off the images' end letters in
-    one pass over w; a word whose seams do not cancel is joined without a
-    scan, and one whose seams do is joined image by image, cancelling at
+    Only the seams between consecutive images can cancel.  The identity
+    returns the words as they are.  Otherwise the seams are read off the
+    images' end letters in one pass over w; a word whose seams do not
+    cancel is joined without a scan (a signed permutation's seams never
+    do), and one whose seams do is joined image by image, cancelling at
     each seam.  Images are inverted only when some word has a negative
     letter.
     """
-    n = len(images)
-    if all(len(x) == 1 for x in images) and \
-            len({abs(x[0]) for x in images}) == n:
-        if all(x[0] == a for a, x in enumerate(images, 1)):
-            return tuple(ws)
-        perm = [0] * (2 * n + 1)
-        for a, (b,) in enumerate(images, 1):
-            perm[a], perm[-a] = b, -b
-        return tuple(tuple(map(perm.__getitem__, w)) for w in ws)
+    if all(len(x) == 1 and x[0] == a for a, x in enumerate(images, 1)):
+        return tuple(ws)
     if not all(images):
         return tuple(reduce_word(substitute(w, images)) for w in ws)
     table = _image_table(images, any(min(w) < 0 for w in ws if w))

@@ -124,7 +124,11 @@ def test_twist_metric_costs_the_same_for_either_sign(tmp_path):
     that holds -1 every lookup of -2 probes past it.  The marking x1 x2^-m
     reads -2 at every letter; loading it and estimating d both ways must
     take less than 1.5 times as long as for x1 x2^m (m = 10^5, best of 5,
-    alternating)."""
+    alternating).
+
+    The test reads wall-clock time, so a loaded host can slow one side: it
+    measures up to three rounds and passes on the first round under the
+    bound.  A table that collides costs about 2x in every round."""
     import json
     import time
     from foldtrack.graph import load_graph
@@ -145,8 +149,13 @@ def test_twist_metric_costs_the_same_for_either_sign(tmp_path):
         estimate_d(gm, g0)
         return time.perf_counter() - start
 
-    best = {"1p": float("inf"), "1n": float("inf")}
-    for _ in range(5):
-        for name in best:
-            best[name] = min(best[name], op(name))
-    assert best["1n"] < 1.5 * best["1p"], best
+    rounds = []
+    for _ in range(3):
+        best = {"1p": float("inf"), "1n": float("inf")}
+        for _ in range(5):
+            for name in best:
+                best[name] = min(best[name], op(name))
+        rounds.append(best)
+        if best["1n"] < 1.5 * best["1p"]:
+            break
+    assert best["1n"] < 1.5 * best["1p"], rounds

@@ -643,6 +643,24 @@ def test_graph_from_json_rejects_marking_letters_naming_no_edge(ids, letter):
         graph_from_json(data)
 
 
+@pytest.mark.parametrize("ids", [(1, 2), (1.0, 2.0), (7, 9)])
+def test_graph_from_json_marking_letters_become_ints(ids):
+    """A letter equal to a signed JSON id, such as true or 2.0 where the id
+    is 1 or 2, names that edge and is stored as an int."""
+    a, b = ids
+    for letters, expected in (([a, True if a == 1 else a, -b], (1, 1, -2)),
+                              ([float(a), -float(b)], (1, -2)),
+                              ([a, b], (1, 2))):
+        data = {"rank": 2, "vertices": [0], "basepoint": 0,
+                "edges": [{"id": i, "from": 0, "to": 0} for i in ids],
+                "marking": [letters, [b]]}
+        g = graph_from_json(data)
+        assert g.marking[0] == expected
+        assert [type(x) for p in g.marking for x in p] == \
+            [int] * (len(expected) + 1)
+        assert graph_to_json(g)["marking"] == [list(expected), [2]]
+
+
 def test_graph_from_json_renumbers_json_ids():
     g = _graphs()[2]
     data = graph_to_json(g)
