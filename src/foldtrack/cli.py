@@ -8,6 +8,7 @@ Set FOLDTRACK_LOG=DEBUG for diagnostics.
 """
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -36,9 +37,11 @@ EXIT_INVARIANT = 3
 
 
 def _setup_logging():
-    level = os.environ.get("FOLDTRACK_LOG", "WARNING").upper()
-    logging.basicConfig(stream=sys.stderr,
-                        level=getattr(logging, level, logging.WARNING),
+    # only a level name counts: logging also has attributes like BASIC_FORMAT
+    level = logging.getLevelName(os.environ.get("FOLDTRACK_LOG", "WARNING").upper())
+    if not isinstance(level, int):
+        level = logging.WARNING
+    logging.basicConfig(stream=sys.stderr, level=level,
                         format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -294,15 +297,24 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser `main` uses, built on its first call in a process.
+
+    The `func` defaults bind each `cmd_*` function once, so a test patches
+    what a command calls (a module global read at call time), not the
+    command function itself."""
+    return build_parser()
+
+
 def main(argv=None):
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CapacityError, CertificationError, StructuralError, ValueError,
             OSError) as exc:
-        log.error("%s", exc)
+        log.debug("input error", exc_info=True)
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INPUT
     except FoldtrackError as exc:

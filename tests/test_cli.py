@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -296,3 +297,95 @@ def test_metric_command(tmp_path):
     assert len(lines) == 3
     fields = lines[1].split("\t")
     assert fields[3] == "12"
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys, tmp_path):
+    """In-process `cli.main` calls, a rejected argv and --help among them,
+    build the parser once and print what a fresh process prints."""
+    from foldtrack import cli
+    from foldtrack.graph import dump_graph
+    from foldtrack.metric import twist_family
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width
+    paths = []
+    for i, g in enumerate(twist_family(2, 10)):
+        paths.append(str(tmp_path / ("g%d.json" % i)))
+        dump_graph(g, paths[-1])
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for argv, code in [
+        (["metric", *paths], 0),
+        (["experiment", "--rank", "3", "--length", "10", "--trials", "5",
+          "--seed", "1", "--jobs", "1"], 0),
+        (["spectrum", "a->ab, b->a"], 0),
+        (["experiment", "--rank", "x"], 2),
+        (["metric", "--help"], 0),
+        (["metric", *paths], 0),
+    ]:
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "foldtrack", *argv],
+                               capture_output=True)
+        assert rc == code == fresh.returncode, argv
+        assert (out.encode(), err.encode()) == (fresh.stdout, fresh.stderr), argv
+    assert len(builds) == 1
+
+
+def test_import_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *a, **k):\n"
+        "    made.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import foldtrack.cli as cli\n"
+        "print(len(made))\n"
+        "cli._parser()\n"
+        "print(len(made) > 0)\n")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True"]
+
+
+def test_input_error_printed_once():
+    proc = run_cli("spectrum", "a->aa, b->b")
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: images do not define an automorphism: a->aa, b->b\n")
+
+
+def _run_with_log(level, *args):
+    env = dict(os.environ, FOLDTRACK_LOG=level)
+    return subprocess.run([sys.executable, "-m", "foldtrack", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_log_level_must_be_a_level_name():
+    plain = run_cli("spectrum", "a->ab, b->a")
+    proc = _run_with_log("BASIC_FORMAT", "spectrum", "a->ab, b->a")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == plain.stdout
+    assert proc.stderr == ""
+
+
+def test_log_level_debug_shows_diagnostics_and_error_origin():
+    proc = _run_with_log("debug", "ratio", "a->ab, b->a")
+    assert proc.returncode == 0
+    assert "DEBUG foldtrack" in proc.stderr
+    proc = _run_with_log("debug", "spectrum", "a->aa, b->b")
+    assert proc.returncode == 2
+    assert "Traceback" in proc.stderr and "parse_automorphism" in proc.stderr
+    assert proc.stderr.endswith(
+        "error: images do not define an automorphism: a->aa, b->b\n")
