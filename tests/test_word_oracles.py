@@ -26,7 +26,7 @@ from foldtrack.graph import (
 from foldtrack.graph_map import GraphMap, edgelet_count, map_length, subdivide
 from foldtrack.metric import difference_map, estimate_d, slide_normalize
 from foldtrack.words import (
-    _SHORT_WORD, _apply_move, _cancellation, _substitute_seams,
+    _SHORT_WORD, _apply_move, _check_letters, _cancellation, _substitute_seams,
     _suffix_repeats, cyclic_reduce, invert_automorphism_words, invert_word,
     max_common_prefix, nielsen_reduce, reduce_word, substitute,
     substitute_reduced,
@@ -629,6 +629,29 @@ def test_marking_letters_outside_the_edges_rejected(bad):
     data["marking"][1].append(letter)
     with pytest.raises(StructuralError):
         graph_from_json(data)
+
+
+LONG = (1, -2, 3) * 5000
+
+
+@pytest.mark.parametrize("word", [
+    (2, 2.0), ("a",), ([1],), (None,), (0,), (4,), (-4,), (1.5, -0.5),
+    (1, 2, 0), LONG + (0,), LONG + (4,), (-4,) + LONG, LONG + (2.0,),
+    (np.array(0),), (np.array(4),), (np.array([1]),)])
+def test_check_letters_refuses(word):
+    """At rank 3: a letter that is not an integer, is 0, or lies beyond
+    +-3 is refused, wherever it sits in the word."""
+    with pytest.raises(StructuralError):
+        _check_letters(word, 3)
+
+
+@pytest.mark.parametrize("word", [
+    (True,), (np.int64(2), -3), (np.True_, np.int64(-1)), LONG,
+    LONG + (np.int64(-3),), (np.array(1), 2)])
+def test_check_letters_passes_integer_letters(word):
+    """bool, numpy integers and 0-d integer arrays (which do not hash) are
+    integers that index a list, as the letter tables do."""
+    _check_letters(word, 3)
 
 
 @pytest.mark.parametrize("ids", [(1, 2), (7, 9)])
