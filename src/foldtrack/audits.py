@@ -23,7 +23,7 @@ from .graph_map import (
     apply_path, compose, gate_count, make_graph_map, restrict, tighten_map,
     transition_matrix,
 )
-from .metric import estimate_d, twist_family
+from .metric import _estimates, twist_family
 from .reducibility import (
     DEFAULT_EDGE_BUDGET, ReducibilityVerdict, _gates_at_least_two,
     _no_valence_one, is_reducible,
@@ -190,9 +190,7 @@ def twist_metric_rows(ms=(1, 10, 100, 1000), n=2):
     """Forward/backward estimates on the marking-twist family."""
     rows = []
     for m in ms:
-        g0, gm = twist_family(n, m)
-        fwd = estimate_d(g0, gm)
-        rev = estimate_d(gm, g0)
+        (_, _, fwd), (_, _, rev) = _estimates(twist_family(n, m))
         rows.append({
             "m": m,
             "d_forward": fwd.value,

@@ -26,7 +26,7 @@ from .errors import CapacityError, CertificationError, FoldtrackError, Structura
 from .folding import clean_factorize, controlled_inverse
 from .graph import graph_to_json, load_graph
 from .graph_map import map_from_json, map_to_json, tighten_map
-from .metric import estimate_d
+from .metric import _estimates
 from .spectra import gamma_hat, spectrum_report
 
 log = logging.getLogger("foldtrack")
@@ -227,15 +227,11 @@ def cmd_audit(args):
 def cmd_metric(args):
     graphs = [load_graph(p) for p in args.graphs]
     lines = ["src\tdst\td_upper\twitness_total_length\tmethod"]
-    for i, gi in enumerate(graphs):
-        for j, gj in enumerate(graphs):
-            if i == j:
-                continue
-            est = estimate_d(gi, gj)
-            lines.append("\t".join([
-                args.graphs[i], args.graphs[j], _fmt(est.value),
-                str(est.total_edge_length), est.method,
-            ]))
+    for i, j, est in _estimates(graphs):
+        lines.append("\t".join([
+            args.graphs[i], args.graphs[j], _fmt(est.value),
+            str(est.total_edge_length), est.method,
+        ]))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

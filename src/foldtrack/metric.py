@@ -8,6 +8,7 @@ is not attempted, and outputs are labeled accordingly.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import _pi1_word, make_graph, pi1_generators, rank, spanning_tree
 from .graph_map import GraphMap, edgelet_count, map_length
@@ -28,6 +29,62 @@ class MetricEstimate:
         return edgelet_count(self.witness)
 
 
+class _Marking:
+    """What the metric reads of one marked graph's marking, each part
+    computed on first use and then kept: the pairs of one call that share
+    a graph read its marking words once and invert them once, and a graph
+    that no pair reads is not read at all.
+
+    Marking letters are trusted: make_graph checks them where a graph
+    enters, and the graphs built internally carry valid paths.
+    """
+
+    def __init__(self, g):
+        self.graph = g
+
+    @cached_property
+    def tree(self):
+        return spanning_tree(self.graph)
+
+    @cached_property
+    def gens(self):
+        return pi1_generators(self.graph, self.tree)
+
+    @cached_property
+    def paths(self):
+        """The marking paths, reduced: the realization of the marking
+        basis in this graph as a codomain."""
+        return [reduce_word(p) for p in self.graph.marking]
+
+    @cached_property
+    def words(self):
+        """The pi_1 words of the marking paths.  With an empty tree, as on
+        a rose, they are the reduced paths."""
+        if not self.tree:
+            return self.paths
+        g = self.graph
+        return [_pi1_word(g, p, self.tree, self.gens) for p in g.marking]
+
+    @cached_property
+    def inverse(self):
+        """The pi_1 basis as words in the marking letters."""
+        return _invert_reduced(self.words)
+
+
+def _difference_map(a, b):
+    """difference_map of the graphs of two _Marking records."""
+    g, h = a.graph, b.graph
+    if g.marking is None or h.marking is None:
+        raise ValueError("both graphs must be marked")
+    if rank(g) != rank(h):
+        raise ValueError("rank mismatch: %d vs %d" % (rank(g), rank(h)))
+    images = _substitute_seams(a.inverse, b.paths)
+    vmap = tuple(h.basepoint for _ in range(g.num_vertices))
+    gen_index = {e: i for i, e in enumerate(a.gens)}
+    emap = [() if e in a.tree else images[gen_index[e]] for e in g.edge_ids]
+    return GraphMap(g, h, vmap, tuple(emap))
+
+
 def difference_map(g, h):
     """The canonical marking-respecting map G -> G'.
 
@@ -37,22 +94,7 @@ def difference_map(g, h):
     construction, edge images tightened: each image is a reduced product
     of marking loops, which are closed at the basepoint every vertex maps to.
     """
-    if g.marking is None or h.marking is None:
-        raise ValueError("both graphs must be marked")
-    if rank(g) != rank(h):
-        raise ValueError("rank mismatch: %d vs %d" % (rank(g), rank(h)))
-    tree = spanning_tree(g)
-    gens = pi1_generators(g, tree)
-    # marking letters are trusted: make_graph checks them where a graph
-    # enters, and the graphs built internally carry valid paths.  Each word
-    # is reduced once here and not scanned again
-    m_images = [_pi1_word(g, p, tree, gens) for p in g.marking]
-    m_inv = _invert_reduced(m_images)  # basis words in marking letters
-    images = _substitute_seams(m_inv, [reduce_word(p) for p in h.marking])
-    vmap = tuple(h.basepoint for _ in range(g.num_vertices))
-    gen_index = {e: i for i, e in enumerate(gens)}
-    emap = [() if e in tree else images[gen_index[e]] for e in g.edge_ids]
-    return GraphMap(g, h, vmap, tuple(emap))
+    return _difference_map(_Marking(g), _Marking(h))
 
 
 def slide_normalize(f):
@@ -67,7 +109,7 @@ def slide_normalize(f):
     """
     g, h = f.domain, f.codomain
     vmap = list(f.vertex_map)
-    emap = [list(p) for p in f.edge_map]
+    emap = list(f.edge_map)
     links = g.links()
     slid = True
     while slid:
@@ -100,23 +142,39 @@ def slide_normalize(f):
             if new_total >= old_total:
                 continue
             for x, q in new_images.items():
-                emap[x - 1] = list(q)
+                emap[x - 1] = q
             vmap[v] = h.term(e_prime)
             slid = True
             break
     return GraphMap(g, h, tuple(vmap), tuple(tuple(p) for p in emap))
 
 
-def estimate_d(g, h):
-    """Upper bound for d(G,G'): the better of the canonical difference map and
-    its vertex-slide normalization."""
-    f = difference_map(g, h)
+def _estimate(a, b):
+    """estimate_d of the graphs of two _Marking records."""
+    f = _difference_map(a, b)
     candidates = [(map_length(f), f, "canonical")]
     slid = slide_normalize(f)
     if edgelet_count(slid) > 0:
         candidates.append((map_length(slid), slid, "fold-normalized"))
     value, witness, method = min(candidates, key=lambda t: t[0])
     return MetricEstimate(value, witness, method)
+
+
+def estimate_d(g, h):
+    """Upper bound for d(G,G'): the better of the canonical difference map and
+    its vertex-slide normalization."""
+    return _estimate(_Marking(g), _Marking(h))
+
+
+def _estimates(graphs, same=False):
+    """(i, j, estimate_d(graphs[i], graphs[j])) for the ordered pairs with
+    i != j, and i == j too when `same`, in row order.  The pairs share each
+    graph's _Marking record."""
+    marks = [_Marking(g) for g in graphs]
+    for i, a in enumerate(marks):
+        for j, b in enumerate(marks):
+            if same or i != j:
+                yield i, j, _estimate(a, b)
 
 
 def quasi_metric_audit(samples):
@@ -131,11 +189,9 @@ def quasi_metric_audit(samples):
     n = len(samples)
     d = {}
     rows = []
-    for i in range(n):
-        for j in range(n):
-            est = estimate_d(samples[i], samples[j])
-            d[i, j] = est.value
-            rows.append((i, j, est.value, est.total_edge_length, est.method))
+    for i, j, est in _estimates(samples, same=True):
+        d[i, j] = est.value
+        rows.append((i, j, est.value, est.total_edge_length, est.method))
     max_self = max(d[i, i] for i in range(n))
     max_defect = -math.inf
     for i in range(n):

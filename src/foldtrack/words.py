@@ -27,12 +27,18 @@ _SHORT_WORD = 64
 def _check_letters(word, n):
     """Raise StructuralError unless every letter of a nonempty word is an
     integer in +-1..+-n, so that the letters can index lists of length
-    2n + 1.  A few C-level passes and no table: the sum, which is an
-    integer only when every letter is, the least and greatest letters, and
-    a search for 0."""
+    2n + 1.  One pass over the word and none over a table: the sum, which
+    is an integer only when every letter is, then the least and greatest
+    letters and a search for 0 in the set of letters, which a marking word
+    holds only a few of.  Integer-like letters that do not hash (0-d numpy
+    arrays) are read in the word itself."""
     try:
         index(sum(word))
-        ok = -n <= min(word) and max(word) <= n and 0 not in word
+        try:
+            letters = set(word)
+        except TypeError:
+            letters = word
+        ok = -n <= min(letters) and max(letters) <= n and 0 not in letters
     except TypeError:
         ok = False
     if not ok:
@@ -115,22 +121,26 @@ def _common_suffix(u, v):
                     u[eu - hi:eu - lo] == v[ev - hi:ev - lo])
 
 
-def _suffix_repeats(w, block):
-    """Max r with w ending in block repeated r times."""
+def _suffix_repeats(w, block, most=None):
+    """Max r with w ending in block repeated r times, and r <= most if
+    given."""
     b = len(block)
     if b == 0:
         return 0
     end = len(w)
-    return _longest(end // b, lambda lo, hi:
+    n = end // b if most is None else min(end // b, most)
+    return _longest(n, lambda lo, hi:
                     w[end - hi * b:end - lo * b] == block * (hi - lo))
 
 
-def _prefix_repeats(w, block):
-    """Max r with w starting with block repeated r times."""
+def _prefix_repeats(w, block, most=None):
+    """Max r with w starting with block repeated r times, and r <= most if
+    given."""
     b = len(block)
     if b == 0:
         return 0
-    return _longest(len(w) // b, lambda lo, hi:
+    n = len(w) // b if most is None else min(len(w) // b, most)
+    return _longest(n, lambda lo, hi:
                     w[lo * b:hi * b] == block * (hi - lo))
 
 
@@ -227,9 +237,9 @@ def _substitute_seams(ws, images):
     returns the words as they are.  Otherwise the seams are read off the
     images' end letters in one pass over w; a word whose seams do not
     cancel is joined without a scan (a signed permutation's seams never
-    do), and one whose seams do is joined image by image, cancelling at
-    each seam.  Images are inverted only when some word has a negative
-    letter.
+    do, and a one-letter word's image is returned without a copy), and one
+    whose seams do is joined image by image, cancelling at each seam.
+    Images are inverted only when some word has a negative letter.
     """
     if all(len(x) == 1 and x[0] == a for a, x in enumerate(images, 1)):
         return tuple(ws)
@@ -244,7 +254,8 @@ def _substitute_seams(ws, images):
         _check_capacity(parts, images)
         if 0 not in map(add, map(tails.__getitem__, w),
                         map(heads.__getitem__, islice(w, 1, None))):
-            out.append(tuple(chain.from_iterable(parts)))
+            out.append(parts[0] if len(parts) == 1
+                       else tuple(chain.from_iterable(parts)))
             continue
         acc = []
         for p in parts:
@@ -272,11 +283,24 @@ def _substitute_seams(ws, images):
 
 
 def _apply_move(ws, move):
-    """Apply a move to a list of reduced words; the product cancels only at
-    its seam."""
+    """Apply a move to a list of reduced words.  The whole blocks w_j^-eps
+    at the seam of w_i, up to `count` of them, are cut off with one slice;
+    the rest of the power is multiplied on, cancelling only at its seam."""
     side, i, j, eps, count = move
-    block = _power(ws[j] if eps > 0 else invert_word(ws[j]), count)
-    ws[i] = _product(ws[i], block) if side == "R" else _product(block, ws[i])
+    x, inv = ws[j], invert_word(ws[j])
+    if eps < 0:
+        x, inv = inv, x
+    wi = ws[i]
+    if side == "R":
+        k = _suffix_repeats(wi, inv, count)
+        wi = wi[:len(wi) - k * len(x)]
+    else:
+        k = _prefix_repeats(wi, inv, count)
+        wi = wi[k * len(x):]
+    if k < count:
+        block = _power(x, count - k)
+        wi = _product(wi, block) if side == "R" else _product(block, wi)
+    ws[i] = wi
 
 
 def _seam(side, eps, wi, x):
@@ -461,7 +485,7 @@ def _invert_reduced(images):
     for side, i, j, eps, count in reversed(moves):
         # rho: x_i -> x_i x_j^(eps*count) (side R) or x_j^(eps*count) x_i (L)
         rho = [((k + 1),) for k in range(rank)]
-        tail = tuple([(j + 1) if eps > 0 else -(j + 1)] * count)
+        tail = ((j + 1) if eps > 0 else -(j + 1),) * count
         if side == "R":
             rho[i] = (i + 1,) + tail
         else:

@@ -299,6 +299,62 @@ def test_metric_command(tmp_path):
     assert fields[3] == "12"
 
 
+def test_metric_inverts_each_marking_once(monkeypatch, capsys, tmp_path):
+    """`metric` on 4 graphs, one with a nonempty spanning tree, prints the
+    12 ordered pairs that estimate_d gives and inverts each marking once."""
+    from foldtrack import cli, metric
+    from foldtrack.graph import dump_graph, make_graph
+    from foldtrack.metric import estimate_d, twist_family
+    g0, g10 = twist_family(2, 10)
+    theta = make_graph(2, [(0, 1)] * 3, basepoint=0,
+                       marking=[(1, -2), (2, -3, 1, -2)])
+    graphs = [g0, g10, twist_family(2, 3)[1], theta]
+    paths = []
+    for i, g in enumerate(graphs):
+        paths.append(str(tmp_path / ("g%d.json" % i)))
+        dump_graph(g, paths[-1])
+    inversions = []
+    invert = metric._invert_reduced
+
+    def counted(words):
+        inversions.append(tuple(words))
+        return invert(words)
+
+    monkeypatch.setattr(metric, "_invert_reduced", counted)
+    assert cli.main(["metric", *paths]) == 0
+    out, err = capsys.readouterr()
+    assert len(inversions) == 4
+    want = ["src\tdst\td_upper\twitness_total_length\tmethod"]
+    for i, gi in enumerate(graphs):
+        for j, gj in enumerate(graphs):
+            if i != j:
+                est = estimate_d(gi, gj)
+                want.append("%s\t%s\t%.12g\t%d\t%s" % (
+                    paths[i], paths[j], est.value, est.total_edge_length,
+                    est.method))
+    assert out.splitlines() == want
+    assert err == ""
+
+
+def test_metric_on_markings_that_are_no_basis(capsys, tmp_path):
+    """A marking that is not a basis is inverted only when a pair reads
+    it: one such graph has no pair, two such graphs are refused."""
+    from foldtrack import cli
+    from foldtrack.graph import dump_graph, make_graph
+    paths = []
+    for i, petal in enumerate(((1, 1), (2, 2))):
+        paths.append(str(tmp_path / ("g%d.json" % i)))
+        dump_graph(make_graph(1, [(0, 0)] * 2, basepoint=0,
+                              marking=[petal, (2, 1)]), paths[-1])
+    assert cli.main(["metric", paths[0]]) == 0
+    assert capsys.readouterr() == (
+        "src\tdst\td_upper\twitness_total_length\tmethod\n", "")
+    assert cli.main(["metric", *paths]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: images do not generate a free basis")
+
+
 def test_main_reuses_one_parser(monkeypatch, capsys, tmp_path):
     """In-process `cli.main` calls, a rejected argv and --help among them,
     build the parser once and print what a fresh process prints."""

@@ -546,6 +546,39 @@ def test_apply_move_matches_reference(case):
     assert ws == expected
 
 
+def _move_cases(block, side, eps):
+    """[w_i, w_j] and moves (side, 0, 1, eps, count): w_j is `block`, and
+    w_i is 4 4 with r whole blocks w_j^-eps (r <= 3) and then `partial`
+    letters of one more at its seam, so that the move's product cancels
+    r blocks and a part of the next.  The counts run below, to and above
+    r.  Words that are not reduced are left out: a block c y c^-1 repeats
+    only once in a reduced word."""
+    inv = ref_invert_word(block) if eps > 0 else block
+    for r in range(4):
+        for partial in (0, 1):
+            if side == "R":
+                wi = (4, 4) + inv[len(inv) - partial:] + inv * r
+            else:
+                wi = inv * r + inv[:partial] + (4, 4)
+            if ref_reduce_word(wi) != wi:
+                continue
+            for count in sorted({1, r, r + 1, r + 3} - {0}):
+                yield [wi, block], (side, 0, 1, eps, count)
+
+
+@pytest.mark.parametrize("block", [(1,), (1, 2), (3, 1, 2, -3)])
+@pytest.mark.parametrize("side", "RL")
+@pytest.mark.parametrize("eps", (1, -1))
+def test_apply_move_cases_match_reference(block, side, eps):
+    cases = list(_move_cases(block, side, eps))
+    assert len(cases) >= 7
+    for ws, move in cases:
+        expected = list(ws)
+        ref_apply_move(expected, move)
+        _apply_move(ws, move)
+        assert ws == expected, (ws, move)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(twisted_bases(), automorphism_images(),
                  st.lists(st.lists(letters(2), max_size=6).map(tuple),
@@ -794,6 +827,12 @@ def test_twist_estimates_match_reference(labeling):
         gm = twist_graph(m, *labeling)
         assert_estimate_matches_reference(g0, gm)
         assert_estimate_matches_reference(gm, g0)
+
+
+@pytest.mark.parametrize("labeling", TWIST_LABELINGS)
+def test_twist_move_logs_match_reference(labeling):
+    ws = twist_graph(2000, *labeling).marking
+    assert nielsen_reduce(ws) == ref_nielsen_reduce(ws)
 
 
 @settings(max_examples=40, deadline=None)
