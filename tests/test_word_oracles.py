@@ -26,7 +26,7 @@ from foldtrack.graph import (
 from foldtrack.graph_map import GraphMap, edgelet_count, map_length, subdivide
 from foldtrack.metric import difference_map, estimate_d, slide_normalize
 from foldtrack.words import (
-    _SHORT_WORD, _apply_move, _check_letters, _cancellation, _substitute_seams,
+    _SHORT_WORD, _apply_move, _cancellation, _check_letters, _substitute_seams,
     _suffix_repeats, cyclic_reduce, invert_automorphism_words, invert_word,
     max_common_prefix, nielsen_reduce, reduce_word, substitute,
     substitute_reduced,
