@@ -12,7 +12,9 @@ from functools import cached_property
 
 from .graph import _pi1_word, make_graph, pi1_generators, rank, spanning_tree
 from .graph_map import GraphMap, edgelet_count, map_length
-from .words import _invert_reduced, _substitute_seams, reduce_word
+from .words import (
+    _invert_reduced, _reduce_by_letter_set, _substitute_seams, reduce_word,
+)
 
 __all__ = ["MetricEstimate", "difference_map", "estimate_d",
            "quasi_metric_audit", "twist_family", "slide_normalize"]
@@ -53,8 +55,10 @@ class _Marking:
     @cached_property
     def paths(self):
         """The marking paths, reduced: the realization of the marking
-        basis in this graph as a codomain."""
-        return [reduce_word(p) for p in self.graph.marking]
+        basis in this graph as a codomain.  A long path whose letter set
+        holds no inverse pair, as every twist marking's does, is reduced
+        without a scan for a cancelling pair."""
+        return [_reduce_by_letter_set(p) for p in self.graph.marking]
 
     @cached_property
     def words(self):

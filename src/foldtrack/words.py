@@ -6,7 +6,7 @@ graphs (see graph.py), so the reduction helpers here are shared.
 """
 
 from collections import deque
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from operator import add, index, neg
 
 from .errors import CapacityError, CertificationError, StructuralError
@@ -63,6 +63,23 @@ def reduce_word(letters):
         else:
             out.append(a)
     return tuple(out)
+
+
+def _reduce_by_letter_set(letters):
+    """reduce_word for words that are long and most often reduced, such as
+    marking paths.  A word none of whose letters has its inverse in the
+    word has no cancelling pair, and the set of a long word's letters costs
+    about a third of reduce_word's scan for one; a word whose set holds
+    some a and -a, or whose letters do not hash (0-d numpy arrays), is
+    reduced by reduce_word."""
+    if len(letters) > _SHORT_WORD:
+        try:
+            seen = set(letters)
+        except TypeError:
+            return reduce_word(letters)
+        if seen.isdisjoint(map(neg, seen)):
+            return tuple(letters)  # a tuple is returned as it is
+    return reduce_word(letters)
 
 
 def invert_word(w):
@@ -282,20 +299,22 @@ def _substitute_seams(ws, images):
 # has the closed form w_i * w_j^(eps*count) (resp. left).
 
 
-def _apply_move(ws, move):
+def _apply_move(ws, move, blocks=None):
     """Apply a move to a list of reduced words.  The whole blocks w_j^-eps
     at the seam of w_i, up to `count` of them, are cut off with one slice;
-    the rest of the power is multiplied on, cancelling only at its seam."""
+    the rest of the power is multiplied on, cancelling only at its seam.
+    `blocks` is the number of those whole blocks when the caller has
+    counted them already; otherwise they are counted here."""
     side, i, j, eps, count = move
     x, inv = ws[j], invert_word(ws[j])
     if eps < 0:
         x, inv = inv, x
     wi = ws[i]
     if side == "R":
-        k = _suffix_repeats(wi, inv, count)
+        k = _suffix_repeats(wi, inv, count) if blocks is None else blocks
         wi = wi[:len(wi) - k * len(x)]
     else:
-        k = _prefix_repeats(wi, inv, count)
+        k = _prefix_repeats(wi, inv, count) if blocks is None else blocks
         wi = wi[k * len(x):]
     if k < count:
         block = _power(x, count - k)
@@ -313,13 +332,14 @@ def _seam(side, eps, wi, x):
 
 def _best_strict_move(ws):
     """First move (deterministic scan order) that strictly shortens the total,
-    batched to its maximal repeat count.
+    batched to its maximal repeat count, and the number of whole blocks
+    w_j^-eps at the seam of w_i, for _apply_move; None when there is none.
 
-    Batching counts the whole blocks w_j^-eps at the seam of w_i rather than
-    concatenating repeatedly, so that long geometric-progression words
-    (marking twists) reduce in linear time.  Each candidate is first judged
-    by its seam, which starts with the end letters; w_j is inverted only for
-    the move that is returned.
+    Batching counts those whole blocks rather than concatenating
+    repeatedly, so that long geometric-progression words (marking twists)
+    reduce in linear time.  Each candidate is first judged by its seam,
+    which starts with the end letters; w_j is inverted only for the move
+    that is returned.
     """
     n = len(ws)
     for i in range(n):
@@ -341,13 +361,13 @@ def _best_strict_move(ws):
                     else:
                         full = _prefix_repeats(wi, inv_wj)
                     if full == 0:
-                        return (side, i, j, eps, 1)
+                        return (side, i, j, eps, 1), 0
                     # After stripping `full` whole blocks one more partial
                     # reduction may remain; probe it cheaply.
                     rest = wi[:len(wi) - full * lj] if side == "R" \
                         else wi[full * lj:]
                     extra = 1 if 2 * _seam(side, eps, rest, x) > lj else 0
-                    return (side, i, j, eps, full + extra)
+                    return (side, i, j, eps, full + extra), full
     return None
 
 
@@ -420,9 +440,10 @@ def _nielsen_reduce(ws):
     rank = len(ws)
     moves = []
     while True:
-        move = _best_strict_move(ws)
-        if move is not None:
-            _apply_move(ws, move)
+        best = _best_strict_move(ws)
+        if best is not None:
+            move, blocks = best
+            _apply_move(ws, move, blocks)
             moves.append(move)
             continue
         if _is_signed_permutation(ws, rank) is not None:
@@ -470,7 +491,10 @@ def invert_automorphism_words(images):
 def _invert_reduced(images):
     """invert_automorphism_words of reduced words: they are not scanned
     again, and every word of the assembly is reduced, so each elementary
-    map is substituted seam by seam."""
+    map is substituted seam by seam.  A run of moves that differ at most in
+    their counts is one elementary map, whose count is the sum of theirs:
+    each fixes x_j, so their powers add.  A conjugated twist logs one move
+    per letter of its power, and is assembled with a few substitutions."""
     rank = len(images)
     final, moves = _nielsen_reduce(images)
     perm = _is_signed_permutation(final, rank)
@@ -482,7 +506,9 @@ def _invert_reduced(images):
     for i, p in enumerate(perm):
         inv[abs(p) - 1] = ((i + 1) if p > 0 else -(i + 1),)
     psi = inv
-    for side, i, j, eps, count in reversed(moves):
+    for (side, i, j, eps), run in groupby(reversed(moves),
+                                          key=lambda move: move[:4]):
+        count = sum(move[4] for move in run)
         # rho: x_i -> x_i x_j^(eps*count) (side R) or x_j^(eps*count) x_i (L)
         rho = [((k + 1),) for k in range(rank)]
         tail = ((j + 1) if eps > 0 else -(j + 1),) * count

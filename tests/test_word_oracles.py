@@ -9,7 +9,7 @@ drawn blocks and repeat counts so that hypothesis stays fast.
 
 import json
 from collections import deque
-from itertools import chain
+from itertools import chain, groupby
 
 import numpy as np
 import pytest
@@ -25,11 +25,12 @@ from foldtrack.graph import (
 )
 from foldtrack.graph_map import GraphMap, edgelet_count, map_length, subdivide
 from foldtrack.metric import difference_map, estimate_d, slide_normalize
+from foldtrack import words
 from foldtrack.words import (
-    _SHORT_WORD, _apply_move, _cancellation, _check_letters, _substitute_seams,
-    _suffix_repeats, cyclic_reduce, invert_automorphism_words, invert_word,
-    max_common_prefix, nielsen_reduce, reduce_word, substitute,
-    substitute_reduced,
+    _SHORT_WORD, _apply_move, _cancellation, _check_letters, _invert_reduced,
+    _reduce_by_letter_set, _substitute_seams, _suffix_repeats, cyclic_reduce,
+    invert_automorphism_words, invert_word, max_common_prefix, nielsen_reduce,
+    reduce_word, substitute, substitute_reduced,
 )
 
 
@@ -110,6 +111,18 @@ def ref_apply_move(ws, move):
         ws[i] = ref_concat(ws[i], block)
     else:
         ws[i] = ref_concat(block, ws[i])
+
+
+def ref_seam_blocks(ws, move):
+    """The whole blocks w_j^-eps at the seam of w_i, up to the move's
+    count: what _best_strict_move carries to _apply_move."""
+    side, i, j, eps, count = move
+    wj = ws[j] if eps > 0 else ref_invert_word(ws[j])
+    if side == "R":
+        full = ref_suffix_repeats(ws[i], ref_invert_word(wj))
+    else:
+        full = ref_suffix_repeats(ref_invert_word(ws[i]), wj)
+    return min(full, count)
 
 
 def ref_best_strict_move(ws):
@@ -389,6 +402,56 @@ def test_reduce_word_matches_reference(w):
         assert reduce_word(r) is r  # a long reduced word is not copied
 
 
+@st.composite
+def long_paths(draw):
+    """Words longer than _SHORT_WORD, as marking paths are.  Half are over
+    letters of one sign per generator, so that no letter's inverse is in
+    the word (the letter-set test); the others are over any letters, some
+    reduced and some not (the scan)."""
+    if draw(st.booleans()):
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=3,
+                              max_size=3))
+        alphabet = st.sampled_from([s * a for a, s in enumerate(signs, 1)])
+    else:
+        alphabet = letters()
+    pieces = draw(st.lists(st.tuples(st.lists(alphabet, min_size=1,
+                                              max_size=6).map(tuple),
+                                     st.integers(1, 2000)),
+                           min_size=1, max_size=4))
+    w = tuple(chain.from_iterable(b * k for b, k in pieces))
+    if draw(st.booleans()):
+        w = ref_reduce_word(w)
+    assume(len(w) > _SHORT_WORD)
+    return w
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_paths())
+def test_letter_set_reduction_matches_reference(w):
+    expected = ref_reduce_word(w)
+    assert _reduce_by_letter_set(w) == expected
+    assert _reduce_by_letter_set(list(w)) == expected
+    if expected == w:
+        assert _reduce_by_letter_set(w) is w  # a reduced tuple is not copied
+
+
+@pytest.mark.parametrize("w", [
+    (2,) + (-1,) * 100,                     # a twist marking
+    (1, 2) * 40 + (-2, 3),                  # one cancelling pair, near the end
+    (1, 2, 3) * 30 + (-3, -2, -1) * 30,     # inverse pairs, all cancelling
+    (1, 2, -1, -2) * 30,                    # inverse pairs, reduced
+])
+def test_letter_set_reduction_cases(w):
+    assert _reduce_by_letter_set(w) == ref_reduce_word(w)
+    assert _reduce_by_letter_set(list(w)) == ref_reduce_word(w)
+
+
+def test_letter_set_reduction_of_unhashable_letters():
+    # integer-like letters that _check_letters accepts but set() refuses
+    w = tuple(map(np.array, (2,) + (1, -1) * 40 + (-1,) * 10))
+    assert [int(a) for a in _reduce_by_letter_set(w)] == [2] + [-1] * 10
+
+
 @settings(max_examples=100, deadline=None)
 @given(any_words)
 def test_invert_and_cyclic_reduce_match_reference(w):
@@ -536,14 +599,22 @@ def moves_on_reduced_words(draw):
     return ws, move
 
 
+def assert_apply_move_matches_reference(ws, move):
+    """_apply_move, counting the whole blocks at the seam itself and taking
+    them as counted by the reference, against ref_apply_move."""
+    expected = list(ws)
+    ref_apply_move(expected, move)
+    counted, carried = list(ws), list(ws)
+    _apply_move(counted, move)
+    _apply_move(carried, move, ref_seam_blocks(ws, move))
+    assert counted == expected, (ws, move)
+    assert carried == expected, (ws, move)
+
+
 @settings(max_examples=80, deadline=None)
 @given(moves_on_reduced_words())
 def test_apply_move_matches_reference(case):
-    ws, move = case
-    expected = list(ws)
-    ref_apply_move(expected, move)
-    _apply_move(ws, move)
-    assert ws == expected
+    assert_apply_move_matches_reference(*case)
 
 
 def _move_cases(block, side, eps):
@@ -573,10 +644,7 @@ def test_apply_move_cases_match_reference(block, side, eps):
     cases = list(_move_cases(block, side, eps))
     assert len(cases) >= 7
     for ws, move in cases:
-        expected = list(ws)
-        ref_apply_move(expected, move)
-        _apply_move(ws, move)
-        assert ws == expected, (ws, move)
+        assert_apply_move_matches_reference(ws, move)
 
 
 @settings(max_examples=80, deadline=None)
@@ -848,6 +916,39 @@ def test_invert_automorphism_words_matches_reference(ws):
     # a conjugator may name a letter beyond the rank: then ws is no basis
     assume(max(map(abs, chain.from_iterable(ws)), default=0) <= len(ws))
     assert invert_automorphism_words(ws) == ref_invert_automorphism_words(ws)
+
+
+def conjugated_twist(m, u=(2, 1, 2)):
+    """(u x_1 u^-1, u x_2 x_1^m u^-1): no whole block x_1 sits at a seam,
+    so Nielsen reduction strips the power one letter per move."""
+    return tuple(ref_concat(u, w, ref_invert_word(u))
+                 for w in ((1,), (2,) + (1,) * m))
+
+
+def test_conjugated_twist_inverse_matches_reference():
+    ws = conjugated_twist(300)
+    inverse = invert_automorphism_words(ws)
+    assert inverse == ref_invert_automorphism_words(ws)
+    assert [ref_reduce_word(ref_substitute(w, ws)) for w in inverse] == \
+        [(1,), (2,)]
+
+
+def test_inverse_assembly_substitutes_once_per_run(monkeypatch):
+    ws = conjugated_twist(4000)
+    _, moves = nielsen_reduce(ws)
+    runs = sum(1 for _ in groupby(moves, key=lambda move: move[:4]))
+    assert len(moves) > 4000 and runs < 10
+    calls = []
+    substitute_seams = words._substitute_seams
+
+    def counted(ws, images):
+        calls.append(images)
+        return substitute_seams(ws, images)
+
+    monkeypatch.setattr(words, "_substitute_seams", counted)
+    inverse = _invert_reduced(ws)
+    assert len(calls) == runs
+    assert substitute_seams(inverse, ws) == ((1,), (2,))
 
 
 # ---------------------------------------------------------------------------
