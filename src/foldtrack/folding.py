@@ -14,9 +14,10 @@ case3-loop-at-v1 (LC = 2), and q o p induces the identity outer automorphism.
 
 A factorization folds one mutable state (_FoldState) in place: a fold
 changes the ends and images of the directions it folds and nothing else.
-The records it leaves hold the fold spec and flags; the quotient, the stage
-inverse and the folded graph with its transported marking are built when
-first read.  controlled_inverse composes the stage inverses edge by edge.
+The records it leaves hold the fold spec; the quotient, the stage inverse,
+the folded graph with its transported marking and filtration, and the flags
+of that filtration are built when first read.  controlled_inverse composes
+the stage inverses edge by edge.
 """
 
 import logging
@@ -29,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CertificationError, StructuralError
-from .graph import Graph, rank, subgraph_rank, frontier
+from .graph import Graph, components, frontier, rank, subgraph_rank
 from .graph_map import GraphMap, apply_path, identity_map, is_tight, tighten_map
 from .words import _longest, invert_word, reduce_word
 
@@ -68,23 +69,27 @@ class FoldSpec(NamedTuple):
 
 
 class FoldRecord:
-    """One fold of a sequence: spec and flags, set when the fold is made,
-    and the quotient p : G -> G*, the stage inverse q : G* -> G and G*,
+    """One fold of a sequence: its spec, set when the fold is made, and the
+    quotient p : G -> G*, the stage inverse q : G* -> G, G* and the flags,
     built on first access.  G is the graph the sequence started from,
     carried through the folds before this one with its basepoint, marking
     and filtration."""
 
-    __slots__ = ("spec", "flags", "_prev", "_maps")
+    __slots__ = ("spec", "_prev", "_maps")
 
-    def __init__(self, spec, flags, prev):
+    def __init__(self, spec, prev):
         self.spec = spec
-        self.flags = flags
         self._prev = prev      # the record before, or the graph folded first
-        self._maps = None      # (p, q) once built
+        self._maps = None      # (p, q, pushed-filtration flags) once built
 
     @property
     def case(self):
         return self.spec.case
+
+    @property
+    def flags(self):
+        """The spec's flags, then those of the filtration pushed to G*."""
+        return self.spec.flags + self._built()[2]
 
     @property
     def quotient(self):
@@ -113,11 +118,10 @@ class FoldRecord:
     def __eq__(self, other):
         if not isinstance(other, FoldRecord):
             return NotImplemented
-        return (self.spec, self.flags, self._built()) == \
-            (other.spec, other.flags, other._built())
+        return (self.spec, self._built()) == (other.spec, other._built())
 
     def __hash__(self):
-        return hash((self.spec, self.flags))
+        return hash(self.spec)
 
     def __repr__(self):
         return "FoldRecord(spec=%r, flags=%r)" % (self.spec, self.flags)
@@ -275,33 +279,28 @@ def _pull_vertices(vals, spec, v0, v1, v2):
 class _FoldState:
     """A map being folded, changed in place fold by fold.
 
-    nv and ends are the current domain graph, levels its filtration (pushed
-    only when the first graph has one), vimg and img the vertex images and
-    edge image views in the fixed codomain, edgelets the total image
-    length, last the latest record (or the first graph).  A graph-only state
-    has img None and makes the graph moves alone.
+    nv and ends are the current domain graph, vimg and img the vertex
+    images and edge image views in the fixed codomain, edgelets the total
+    image length, last the latest record (or g, the graph of f's domain
+    with its marking and filtration).
     """
 
-    __slots__ = ("nv", "ends", "levels", "codomain", "vimg", "img",
-                 "edgelets", "last")
+    __slots__ = ("nv", "ends", "codomain", "vimg", "img", "edgelets", "last")
 
-    def __init__(self, g, f=None):
+    def __init__(self, g, f):
         self.nv = g.num_vertices
         self.ends = list(g.edge_ends)
-        self.levels = g.filtration
         self.last = g
-        self.img = None
-        if f is not None:
-            self.codomain = f.codomain
-            self.vimg = list(f.vertex_map)
-            self.img = [(p, 0, len(p), False) for p in f.edge_map]
-            self.edgelets = sum(map(len, f.edge_map))
+        self.codomain = f.codomain
+        self.vimg = list(f.vertex_map)
+        self.img = [(p, 0, len(p), False) for p in f.edge_map]
+        self.edgelets = sum(map(len, f.edge_map))
 
     def copy(self):
-        """A copy of a state with a map, to fold independently."""
+        """A copy of the state, to fold independently."""
         other = _FoldState.__new__(_FoldState)
         for name in _FoldState.__slots__:
-            setattr(other, name, getattr(self, name, None))
+            setattr(other, name, getattr(self, name))
         other.ends = list(self.ends)
         other.vimg = list(self.vimg)
         other.img = list(self.img)
@@ -425,49 +424,40 @@ class _FoldState:
         d1, d2, case, c = spec.d1, spec.d2, spec.case, spec.prefix_len
         m1, m2 = abs(d1), abs(d2)
         img = self.img
-        if img is not None:
-            a, b = self._view(d1), self._view(d2)
-            la, lb = a[2] - a[1], b[2] - b[1]
-            if _letters(a, 0, min(c, la)) != _letters(b, 0, min(c, lb)):
-                raise StructuralError("fold spec does not match the map")
+        a, b = self._view(d1), self._view(d2)
+        la, lb = a[2] - a[1], b[2] - b[1]
+        if _letters(a, 0, min(c, la)) != _letters(b, 0, min(c, lb)):
+            raise StructuralError("fold spec does not match the map")
         v0, v1, v2 = _fold_vertices(self.ends, spec)
-        if img is not None:
-            if case == 1:
-                total = self.edgelets - c
-            elif case == 2:
-                if m1 == m2 and la - 2 * c <= 0:
-                    raise StructuralError("overlapping self-fold segments")
-                total = self.edgelets - c
+        if case == 1:
+            total = self.edgelets - c
+        elif case == 2:
+            if m1 == m2 and la - 2 * c <= 0:
+                raise StructuralError("overlapping self-fold segments")
+            total = self.edgelets - c
+        else:
+            if self.vimg[v1] != self.vimg[v2]:
+                raise StructuralError(
+                    "case-3 fold with mismatched terminal images")
+            total = self.edgelets - la
+        if total >= self.edgelets:
+            raise StructuralError("fold failed to decrease the edgelet count")
+        if case == 1:
+            img[m1 - 1] = _cut(a, c, la)
+        elif case == 2:
+            if m1 == m2:
+                img[m1 - 1] = _cut(a, c, la - c)
             else:
-                if self.vimg[v1] != self.vimg[v2]:
-                    raise StructuralError(
-                        "case-3 fold with mismatched terminal images")
-                total = self.edgelets - la
-            if total >= self.edgelets:
-                raise StructuralError("fold failed to decrease the edgelet count")
-        flags = spec.flags
-        if self.levels is not None:
-            g = Graph(self.nv, tuple(self.ends), filtration=self.levels)
-            _, p, _ = fold_move(g, spec)
-            self.levels, push_flags = _push_filtration(g, p)
-            flags += push_flags
-        if img is not None:
-            if case == 1:
                 img[m1 - 1] = _cut(a, c, la)
-            elif case == 2:
-                if m1 == m2:
-                    img[m1 - 1] = _cut(a, c, la - c)
-                else:
-                    img[m1 - 1] = _cut(a, c, la)
-                    img[m2 - 1] = _cut(b, c, lb)
-                img.append(_cut(a, 0, c))
-                self.vimg.append(self.codomain.term(_letters(a, c - 1, c)[0]))
-            else:
-                del img[m1 - 1]
-                del self.vimg[max(v1, v2)]
-            self.edgelets = total
+                img[m2 - 1] = _cut(b, c, lb)
+            img.append(_cut(a, 0, c))
+            self.vimg.append(self.codomain.term(_letters(a, c - 1, c)[0]))
+        else:
+            del img[m1 - 1]
+            del self.vimg[max(v1, v2)]
+        self.edgelets = total
         self.nv = _move_ends(self.nv, self.ends, spec, v0, v1, v2)
-        self.last = FoldRecord(spec, flags, self.last)
+        self.last = FoldRecord(spec, self.last)
         return self.last
 
 
@@ -540,46 +530,40 @@ def fold_move(g, spec):
     return gstar, p, q
 
 
-def _push_filtration(g, p):
-    """G*_i = p(G_i); returns (levels or None, flags)."""
-    if g.filtration is None:
-        return None, ()
-    levels = []
-    for lev in g.filtration:
-        pushed = set()
-        for e in lev:
-            pushed.update(abs(d) for d in p.edge_map[e - 1])
-        levels.append(frozenset(pushed))
-    for lo, hi in zip(levels, levels[1:]):
-        if not lo < hi:
-            return None, ("pushed-filtration-degenerate",)
-    return tuple(levels), ()
-
-
 def _push_graph_data(g, gstar, p):
-    """Transport basepoint, marking, filtration through the fold quotient."""
+    """Transport basepoint, marking and filtration through the fold
+    quotient: G*_i = p(G_i).  Returns (G*, flags); a pushed filtration
+    that is not strictly increasing is dropped and flagged."""
     basepoint = p.vertex_map[g.basepoint] if g.basepoint is not None else None
     marking = None
     if g.marking is not None:
         marking = tuple(reduce_word(apply_path(p, mp)) for mp in g.marking)
-    levels, flags = _push_filtration(g, p)
+    levels, flags = None, ()
+    if g.filtration is not None:
+        levels = tuple(frozenset(abs(d) for e in lev for d in p.edge_map[e - 1])
+                       for lev in g.filtration)
+        if any(not lo < hi for lo, hi in zip(levels, levels[1:])):
+            levels, flags = None, ("pushed-filtration-degenerate",)
     g2 = Graph(gstar.num_vertices, gstar.edge_ends, basepoint, marking,
                levels, g.weak_filtration if levels is not None else False)
     return g2, flags
 
 
 def _stage_maps(g, spec):
-    """(p, q) of a fold of g, with G*'s basepoint, marking and filtration."""
+    """(p, q, flags) of a fold of g: p and q with G*'s basepoint, marking
+    and filtration, flags those of the pushed filtration."""
     gstar, p, q = fold_move(g, spec)
-    gstar, _ = _push_graph_data(g, gstar, p)
+    gstar, flags = _push_graph_data(g, gstar, p)
     return (GraphMap(g, gstar, p.vertex_map, p.edge_map),
-            GraphMap(gstar, g, q.vertex_map, q.edge_map))
+            GraphMap(gstar, g, q.vertex_map, q.edge_map), flags)
 
 
 def apply_fold_move(g, spec):
     """Carry out a fold on a graph alone (no map being factored): the record
-    with quotient, inverse, and pushed filtration/marking data."""
-    return _FoldState(g).fold(spec)
+    with quotient, inverse, and pushed filtration/marking data, built when
+    first read.  Raises StructuralError when g cannot make the fold."""
+    _fold_vertices(g.edge_ends, spec)
+    return FoldRecord(spec, g)
 
 
 def apply_fold(f, spec):
@@ -624,41 +608,50 @@ def folds_into_lower_strata(record, a):
 # homeomorphisms
 # ---------------------------------------------------------------------------
 
-def _try_invert_homeo(f):
-    """Inverse of a subdivision-followed-by-isomorphism, or None."""
+def _embedding_inverse(f):
+    """The inverse of an embedding on its image, or None when f is not one.
+
+    Returns (vmap, emap): vmap[w] is the domain vertex at codomain vertex w,
+    the terminal vertex of e where w is interior to f(e), None off the
+    image; emap[e'-1] is +-e for the first edge of a path f(e), () for the
+    others, None off the image.  f embeds when no codomain edge is crossed
+    twice and no vertex is met twice: by two vertex images, or by an
+    interior vertex of a path and a vertex image or another interior
+    vertex.  A path crossing no edge twice is reduced."""
     g, h = f.domain, f.codomain
-    deg = [0] * (h.num_edges + 1)
-    for p in f.edge_map:
-        if not p or reduce_word(p) != p:
-            return None
-        for d in p:
-            deg[abs(d)] += 1
-    if any(d != 1 for d in deg[1:]):
-        return None
     vmap = [None] * h.num_vertices
-    for v in range(g.num_vertices):
-        w = f.vertex_map[v]
+    for v, w in enumerate(f.vertex_map):
         if vmap[w] is not None:
             return None
         vmap[w] = v
     emap = [None] * h.num_edges
-    for e in g.edge_ids:
-        path = f.edge_map[e - 1]
-        first = path[0]
-        emap[abs(first) - 1] = (e,) if first > 0 else (-e,)
-        term = g.term(e)
-        cur = h.init(path[0])
-        for d in path[:-1]:
-            cur = h.term(d)
-            if vmap[cur] is not None:
+    for e, path in enumerate(f.edge_map, start=1):
+        for d in path:
+            if emap[abs(d) - 1] is not None:
                 return None
-            vmap[cur] = term
-        for d in path[1:]:
             emap[abs(d) - 1] = ()
-    if any(v is None for v in vmap):
+        if path:
+            first = path[0]
+            emap[abs(first) - 1] = (e,) if first > 0 else (-e,)
+            term = g.term(e)
+            for d in path[:-1]:
+                w = h.term(d)
+                if vmap[w] is not None:
+                    return None
+                vmap[w] = term
+    return vmap, emap
+
+
+def _try_invert_homeo(f):
+    """Inverse of a subdivision-followed-by-isomorphism, or None: an
+    embedding collapsing no edge whose image is the whole codomain."""
+    tables = _embedding_inverse(f)
+    if tables is None or not all(f.edge_map):
         return None
-    inv = GraphMap(h, g, tuple(vmap), tuple(emap))
-    return inv
+    vmap, emap = tables
+    if None in vmap or None in emap:
+        return None
+    return GraphMap(f.codomain, f.domain, tuple(vmap), tuple(emap))
 
 
 def is_homeomorphism(f):
@@ -744,8 +737,8 @@ def factorize(f):
         cases = Counter(r.case for r in records)
         log.debug("factorize: %d folds (case 1: %d, case 2: %d, case 3: %d); "
                   "flagged records %s", len(records), cases[1], cases[2],
-                  cases[3], [(i, r.flags) for i, r in enumerate(records, 1)
-                             if r.flags] or "none")
+                  cases[3], [(i, r.spec.flags) for i, r in enumerate(records, 1)
+                             if r.spec.flags] or "none")
     return FoldFactorization(f.domain, f.codomain, records, cur, theta_inv)
 
 
@@ -755,7 +748,7 @@ def clean_factorize(f):
     kept when it finds none; clean_outcome says why."""
     f = tighten_map(f)
     fact = factorize(f)
-    if not any("case3-loop-at-v1" in r.flags for r in fact.records):
+    if not any("case3-loop-at-v1" in r.spec.flags for r in fact.records):
         return replace(fact, clean_outcome="clean")
     outcome, steps, found = _clean_factorize(f)
     if found is None:
@@ -919,100 +912,38 @@ def collapse_edges(g, edges):
     return g2, cmap
 
 
-def _component_maps(f):
-    """Split f by domain components; None when components don't biject."""
-    g, h = f.domain, f.codomain
-    from .graph import components as graph_components
-    dom_comps = graph_components(g)
-    cod_comps = graph_components(h)
-    cod_index = {}
-    for i, comp in enumerate(cod_comps):
-        for v in comp:
-            cod_index[v] = i
-    hit = {}
-    for comp in dom_comps:
-        target = cod_index[f.vertex_map[next(iter(comp))]]
-        if target in hit:
-            return None
-        hit[target] = comp
-    if len(hit) != len(cod_comps):
-        return None
-    pairs = []
-    from .graph_map import restrict
-    for i, cod_comp in enumerate(cod_comps):
-        dom_comp = hit[i]
-        dom_edges = [e for e in g.edge_ids
-                     if g.edge_ends[e - 1][0] in dom_comp]
-        cod_edges = [e for e in h.edge_ids
-                     if h.edge_ends[e - 1][0] in cod_comp]
-        rf, _, _ = restrict(f, dom_edges, cod_edges=frozenset(cod_edges))
-        pairs.append(rf)
-    return pairs
-
-
-def _terminal_is_embedding(f):
-    """Injectivity of an immersion: edges covered at most once, vertex map
-    injective, and no interior pass colliding with a vertex image or another
-    interior pass."""
-    h = f.codomain
-    deg = [0] * (h.num_edges + 1)
-    for p in f.edge_map:
-        for d in p:
-            deg[abs(d)] += 1
-    if any(d > 1 for d in deg[1:]):
-        return False
-    seen = set()
-    for v in range(f.domain.num_vertices):
-        w = f.vertex_map[v]
-        if w in seen:
-            return False
-        seen.add(w)
-    interior = set()
-    for p in f.edge_map:
-        for d in p[:-1]:
-            w = h.term(d)
-            if w in seen or w in interior:
-                return False
-            interior.add(w)
-    return True
-
-
 def certify_homotopy_equivalence(f):
     """Constructive homotopy-equivalence check via Stallings folds.
 
-    Component bijection, rank agreement, fold to a terminal immersion, check
-    it embeds, and check the embedded image carries the full rank of the
-    codomain component (the complement is then a hanging forest).
+    The components biject, the zero-image forest collapses, the ranks
+    agree, and the folded map embeds.  Folds keep the rank, and an
+    embedding's image has its domain's, so the image carries the full rank
+    of the codomain: the complement is a hanging forest.  Folds never leave
+    a component, so the whole map is folded at once.
     """
     f = tighten_map(f)
-    pieces = _component_maps(f)
-    if pieces is None:
+    g, h = f.domain, f.codomain
+    cod_comps = components(h)
+    cod_index = {v: i for i, comp in enumerate(cod_comps) for v in comp}
+    # each domain component lands in one codomain component: a bijection
+    # when every codomain component is hit and the counts agree
+    hit = {cod_index[w] for w in f.vertex_map}
+    if not len(components(g)) == len(hit) == len(cod_comps):
         return False
-    for rf in pieces:
-        collapsed = [e for e in rf.domain.edge_ids if not rf.edge_map[e - 1]]
-        if collapsed:
-            if subgraph_rank(rf.domain, collapsed) != 0:
-                return False
-            g2, cmap = collapse_edges(rf.domain, collapsed)
-            vmap = [None] * g2.num_vertices
-            for v in range(rf.domain.num_vertices):
-                vmap[cmap.vertex_map[v]] = rf.vertex_map[v]
-            emap = [rf.edge_map[e - 1] for e in rf.domain.edge_ids
-                    if e not in set(collapsed)]
-            rf = GraphMap(g2, rf.codomain, tuple(vmap), tuple(emap))
-        if rank(rf.domain) != rank(rf.codomain):
+    collapsed = [e for e in g.edge_ids if not f.edge_map[e - 1]]
+    if collapsed:
+        if subgraph_rank(g, collapsed) != 0:
             return False
-        state = _FoldState(rf.domain, rf)
-        try:
-            _fold_greedily(state)
-        except StructuralError:
-            return False
-        cur = state.as_map()
-        if not _terminal_is_embedding(cur):
-            return False
-        image = set()
-        for p in cur.edge_map:
-            image.update(abs(d) for d in p)
-        if subgraph_rank(cur.codomain, image) != rank(cur.codomain):
-            return False
-    return True
+        g2, cmap = collapse_edges(g, collapsed)
+        vmap = [None] * g2.num_vertices
+        for v, w in enumerate(f.vertex_map):
+            vmap[cmap.vertex_map[v]] = w
+        f = GraphMap(g2, h, tuple(vmap), tuple(p for p in f.edge_map if p))
+    if rank(f.domain) != rank(h):
+        return False
+    state = _FoldState(f.domain, f)
+    try:
+        _fold_greedily(state)
+    except StructuralError:
+        return False
+    return _embedding_inverse(state.as_map()) is not None

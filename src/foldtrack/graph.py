@@ -302,13 +302,14 @@ def subgraph_components(g, edges):
     return [frozenset(c) for c in comps.values()]
 
 
-def build_subgraph(g, edges):
-    """Closure of an edge subset as a standalone Graph with dense ids.
+def build_subgraph(g, edges, extra_vertices=()):
+    """Closure of an edge subset, with the given extra vertices, as a
+    standalone Graph with dense ids.
 
     Returns (graph, vertex_map old->new, edge_map old->new).
     """
     vset, eset = subgraph_closure(g, edges)
-    vs = sorted(vset)
+    vs = sorted(vset.union(extra_vertices))
     es = sorted(eset)
     vmap = {v: i for i, v in enumerate(vs)}
     emap = {e: i + 1 for i, e in enumerate(es)}

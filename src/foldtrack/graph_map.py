@@ -7,13 +7,15 @@ product inequalities are stated against.
 """
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
 from .errors import StructuralError
 from .graph import (
-    Graph, build_subgraph, components, edge_level, make_graph, pi1_word,
-    rank, reverse_path, spanning_tree, stratum, subgraph_closure, tighten,
+    Graph, build_subgraph, components, edge_level, graph_from_json,
+    graph_to_json, make_graph, pi1_word, rank, reverse_path, spanning_tree,
+    stratum, subgraph_closure, tighten,
 )
 from .words import reduce_word
 
@@ -261,42 +263,26 @@ def restrict(f, edges, cod_edges=None):
     closure of `cod_edges` (default: the image subgraph).
     """
     g, h = f.domain, f.codomain
-    if cod_edges is None:
-        cod = set()
-        vset, eset = subgraph_closure(g, edges)
-        for e in eset:
-            cod.update(abs(d) for d in f.edge_map[e - 1])
-        # vertices whose image is an isolated vertex still need a home
-        cod_edges = frozenset(cod)
     dom_g, dvmap, demap = build_subgraph(g, edges)
-    vset, eset = subgraph_closure(g, edges)
-    iso = {f.vertex_map[v] for v in vset}
-    cod_g, cvmap, cemap = _build_subgraph_with_vertices(h, cod_edges, iso)
+    if cod_edges is None:
+        cod_edges = frozenset(abs(d) for e in demap for d in f.edge_map[e - 1])
+    # vertices whose image is an isolated vertex still need a home
+    cod_g, cvmap, cemap = build_subgraph(
+        h, cod_edges, {f.vertex_map[v] for v in dvmap})
     vmap = [None] * dom_g.num_vertices
-    for v in vset:
-        vmap[dvmap[v]] = cvmap[f.vertex_map[v]]
+    for v, i in dvmap.items():
+        vmap[i] = cvmap[f.vertex_map[v]]
     emap = [None] * dom_g.num_edges
-    for e in eset:
+    for e, i in demap.items():
         p = f.edge_map[e - 1]
         try:
-            emap[demap[e] - 1] = tuple(
+            emap[i - 1] = tuple(
                 (cemap[abs(d)] if d > 0 else -cemap[abs(d)]) for d in p)
         except KeyError:
             raise StructuralError(
                 "image of edge %d leaves the stated codomain subgraph" % e)
     rf = GraphMap(dom_g, cod_g, tuple(vmap), tuple(emap))
     return rf, (dvmap, demap), (cvmap, cemap)
-
-
-def _build_subgraph_with_vertices(g, edges, extra_vertices):
-    vset, eset = subgraph_closure(g, edges)
-    vs = sorted(vset | set(extra_vertices))
-    es = sorted(eset)
-    vmap = {v: i for i, v in enumerate(vs)}
-    emap = {e: i + 1 for i, e in enumerate(es)}
-    ends = tuple((vmap[g.edge_ends[e - 1][0]], vmap[g.edge_ends[e - 1][1]])
-                 for e in es)
-    return Graph(len(vs), ends), vmap, emap
 
 
 def respects_filtration(f):
@@ -339,7 +325,6 @@ def is_marking_respecting(f):
 # -- subdivision ----------------------------------------------------------------
 
 def map_to_json(f):
-    from .graph import graph_to_json
     return {
         "domain": graph_to_json(f.domain),
         "codomain": graph_to_json(f.codomain),
@@ -350,13 +335,14 @@ def map_to_json(f):
 
 def map_from_json(data):
     """Decode and validate a map; malformed input raises StructuralError."""
-    from .graph import graph_from_json
     try:
         dom = graph_from_json(data["domain"])
         cod = graph_from_json(data["codomain"])
         vtab, etab = data["vertex_map"], data["edge_map"]
-        vmap = [int(vtab[str(v)]) for v in range(dom.num_vertices)]
-        emap = [tuple(int(d) for d in etab[str(e)]) for e in dom.edge_ids]
+        # index() refuses floats and strings where int() would truncate
+        # or parse them
+        vmap = [index(vtab[str(v)]) for v in range(dom.num_vertices)]
+        emap = [tuple(map(index, etab[str(e)])) for e in dom.edge_ids]
     except (KeyError, TypeError) as exc:
         raise StructuralError("malformed map JSON: %s: %s"
                               % (type(exc).__name__, exc)) from None

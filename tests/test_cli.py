@@ -111,8 +111,12 @@ def _fib_map_json():
     lambda d: d["domain"].update(marking=[[1], [7]]),
     lambda d: d.update(vertex_map={"0": None}),
     lambda d: d["codomain"].update(edges=5),
+    lambda d: d["edge_map"].update({"2": [1.5]}),
+    lambda d: d["edge_map"].update({"2": ["1"]}),
+    lambda d: d.update(vertex_map={"0": 0.7}),
 ], ids=["edge-id-5", "letter-0", "empty-vertex-map", "edge-key-3",
-        "marking-unknown-edge", "null-vertex-image", "edges-not-a-list"])
+        "marking-unknown-edge", "null-vertex-image", "edges-not-a-list",
+        "float-letter", "string-letter", "float-vertex-image"])
 def test_invert_malformed_map_exit_2(tmp_path, edit):
     data = _fib_map_json()
     edit(data)

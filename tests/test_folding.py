@@ -1,10 +1,12 @@
 import subprocess
 import sys
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foldtrack.audits import _pi1_surjective
 from foldtrack.automorphisms import simultaneously_conjugate
 from foldtrack.errors import CertificationError, StructuralError
 from foldtrack.folding import (
@@ -13,12 +15,15 @@ from foldtrack.folding import (
     folds_into_lower_strata, invert_fold, invert_homeomorphism,
     is_homeomorphism,
 )
-from foldtrack.graph import frontier, make_graph, rank, spanning_tree, tree_path
+from foldtrack.graph import (
+    components, frontier, make_graph, rank, spanning_tree, tree_path,
+)
 from foldtrack.graph_map import (
     apply_path, compose, edgelet_count, gate_count, identity_map,
     make_graph_map, subdivide, tighten_map, transition_matrix,
 )
 from foldtrack.graph import pi1_word
+from foldtrack.words import reduce_word
 
 
 def outer_trivial(f):
@@ -159,6 +164,20 @@ def test_invert_homeomorphism_cases(rose2):
     assert tighten_map(compose(inv3, comp)).edge_map == ((1,), (2,))
     with pytest.raises(CertificationError):
         invert_homeomorphism(make_graph_map(rose2, rose2, (0,), [(1, 2), (1,)]))
+    # onto, and each failing one condition only: a petal collapsed; a
+    # segment closed up into a circle; two parallel edges onto one edge; a
+    # loop whose image passes through the image of an isolated vertex
+    circle = make_graph(1, [(0, 0)])
+    assert not is_homeomorphism(make_graph_map(rose2, circle, (0,), [(1,), ()]))
+    segment = make_graph(2, [(0, 1)])
+    assert not is_homeomorphism(make_graph_map(segment, circle, (0, 0), [(1,)]))
+    theta1 = make_graph(2, [(0, 1), (0, 1)])
+    assert not is_homeomorphism(
+        make_graph_map(theta1, segment, (0, 1), [(1,), (1,)]))
+    loop_and_point = make_graph(2, [(0, 0)])
+    two_cycle = make_graph(2, [(0, 1), (1, 0)])
+    assert not is_homeomorphism(
+        make_graph_map(loop_and_point, two_cycle, (0, 1), [(1, 2)]))
 
 
 def test_factorize_rejects_non_equivalence(rose2):
@@ -384,3 +403,87 @@ def test_twist_folds_in_near_linear_time():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert float(proc.stdout) < 5.0
+
+
+def _random_small_map(rng):
+    """A map between two random graphs of 1-3 vertices and 0-4 edges,
+    loops and several components allowed.  Each domain component goes to a
+    random codomain component; each edge to a random walk of 0-3 steps
+    closed up by a shortest path, then reduced, so sometimes empty."""
+    def graph():
+        nv, ne = int(rng.integers(1, 4)), int(rng.integers(0, 5))
+        return make_graph(nv, [(int(rng.integers(0, nv)),
+                                int(rng.integers(0, nv))) for _ in range(ne)])
+
+    g, h = graph(), graph()
+    links = h.links()
+
+    def shortest_path(u, v):
+        paths, queue = {u: ()}, deque([u])
+        while v not in paths:
+            w = queue.popleft()
+            for d in links[w]:
+                if h.term(d) not in paths:
+                    paths[h.term(d)] = paths[w] + (d,)
+                    queue.append(h.term(d))
+        return paths[v]
+
+    cod_comps = [sorted(c) for c in components(h)]
+    vmap = [None] * g.num_vertices
+    for comp in components(g):
+        target = cod_comps[int(rng.integers(0, len(cod_comps)))]
+        for v in comp:
+            vmap[v] = target[int(rng.integers(0, len(target)))]
+    emap = []
+    for u, v in g.edge_ends:
+        cur, path = vmap[u], []
+        for _ in range(int(rng.integers(0, 4))):
+            if not links[cur]:
+                break
+            d = links[cur][int(rng.integers(0, len(links[cur])))]
+            path.append(d)
+            cur = h.term(d)
+        emap.append(reduce_word(tuple(path) + shortest_path(cur, vmap[v])))
+    return make_graph_map(g, h, vmap, emap)
+
+
+def test_certification_matches_pi1_oracle_on_small_maps():
+    """Fold certification agrees with the word-level pi_1 certificate on
+    random small maps, disconnected ones and ones collapsing edges among
+    them; the sample holds equivalences of both kinds."""
+    rng = np.random.default_rng(14)
+    kinds = Counter()
+    for _ in range(5000):
+        f = _random_small_map(rng)
+        certified = certify_homotopy_equivalence(f)
+        assert certified == _pi1_surjective(f), f
+        if certified:
+            kinds["equivalence"] += 1
+            kinds["disconnected"] += len(components(f.domain)) > 1
+            kinds["collapsing"] += not all(f.edge_map)
+    assert min(kinds[k] for k in
+               ("equivalence", "disconnected", "collapsing")) > 0, kinds
+
+
+def test_lambda_mu_and_invert_paths_build_no_stage_maps(monkeypatch,
+                                                       parageometric):
+    """expansion_pair and the clean factorization with its controlled
+    inverse read fold specs only: no record's quotient, stage inverse or
+    pushed filtration is built on either path."""
+    from foldtrack import folding
+    from foldtrack.automorphisms import (
+        expansion_pair, parse_automorphism, rose_representative,
+    )
+
+    def no_stage_maps(g, spec):
+        raise AssertionError("stage maps built for %r" % (spec,))
+
+    monkeypatch.setattr(folding, "_stage_maps", no_stage_maps)
+    assert expansion_pair(parageometric).factorization.fold_count > 0
+    # the flagged map of the CLI's clean-search outcome test
+    f = tighten_map(rose_representative(
+        parse_automorphism("a->a, b->b^-1 db, c->ddb, d->c^-1")))
+    fact = folding.clean_factorize(f)
+    assert fact.clean_outcome == "none-exists"
+    _, stats = controlled_inverse(fact)
+    assert stats.lc == 2
