@@ -12,8 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-import numpy as np
-
 from .errors import CapacityError, CertificationError, StructuralError
 from .folding import (
     FoldFactorization, InverseStats, clean_factorize, controlled_inverse,
@@ -415,11 +413,15 @@ def _growth_rate(aut, f, matrix_exact, seeds=None, k_max=40,
 
 
 def _letter_counts(w, rank):
+    import numpy as np
+
     counts = np.bincount(np.abs(np.asarray(w, dtype=np.int64)), minlength=rank + 1)
     return counts[1:].astype(float)
 
 
 def _slope_rate(logs):
+    import numpy as np
+
     ys = np.asarray(logs, dtype=float)
     if ys.size == 0 or not np.isfinite(ys).all():
         return 0.0

@@ -5,6 +5,11 @@ Exit codes: 0 success, 2 input/certification error or an input too large
 to process, 3 internal invariant violation (a lemma inequality failing is a
 bug, not a data condition).
 Set FOLDTRACK_LOG=DEBUG for diagnostics.
+
+numpy is imported where a command first computes with it, not here:
+`spectrum`, `ratio`, `experiment` and `audit` load it for eigenvalues, the
+growth cross-check and the experiment's generator; `metric` and `invert`
+never do.  The process pool loads only for `experiment --jobs` above 1.
 """
 
 import argparse
@@ -13,9 +18,7 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
+from concurrent import futures
 
 from .automorphisms import (
     check_train_track, expansion_pair, expansion_report, fold_inverse,
@@ -130,6 +133,8 @@ def cmd_ratio(args):
 
 
 def _experiment_trial(params):
+    import numpy as np
+
     seed, trial, rank, length = params
     rng = np.random.default_rng(np.random.Philox(key=seed, counter=[0, 0, 0, trial]))
     aut = random_automorphism(rank, length, rng)
@@ -156,7 +161,7 @@ def cmd_experiment(args):
     # a worker per trial at most, and no more than the machine has cores
     workers = min(args.jobs, len(params), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_experiment_trial, params))
     else:
         results = [_experiment_trial(p) for p in params]

@@ -21,13 +21,12 @@ the stage inverses edge by edge.
 """
 
 import logging
+import math
 from collections import Counter, deque
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import neg
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import CertificationError, StructuralError
 from .graph import Graph, components, frontier, rank, subgraph_rank
@@ -776,9 +775,8 @@ def _multiplicity(path):
     return max(Counter(edges).values())
 
 
-@lru_cache(maxsize=64)
 def _log(x):
-    return np.log(max(x, 1))
+    return math.log(max(x, 1))
 
 
 def _words(paths, ds):
@@ -867,7 +865,7 @@ def controlled_inverse(fact):
     n = rank(g0)
     log_bound = (k - 1) * _log(edge_bound(n)) + sum(map(_log, stage_lcs))
     lc = max(map(_multiplicity, emap), default=0)
-    stats = InverseStats(fact.fold_count, lc, float(log_bound),
+    stats = InverseStats(fact.fold_count, lc, log_bound,
                          bool(_log(lc) <= log_bound + 1e-9),
                          tuple(stage_lcs))
     log.debug("controlled inverse: %d stages (%d folds and the terminal "

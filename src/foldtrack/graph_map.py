@@ -6,10 +6,9 @@ tightening): occurrence counts then multiply exactly, which is what the
 product inequalities are stated against.
 """
 
+import math
 from dataclasses import dataclass
 from operator import index
-
-import numpy as np
 
 from .errors import StructuralError
 from .graph import (
@@ -124,7 +123,7 @@ def map_length(f):
     total = edgelet_count(f)
     if total == 0:
         raise StructuralError("degenerate map: every edge is collapsed")
-    return float(np.log(total))
+    return math.log(total)
 
 
 # -- links, gates, supports ---------------------------------------------------
@@ -212,7 +211,7 @@ class TransitionMatrix:
     """Nonnegative integer occurrence matrix, codomain edges x domain edges,
     with indices ordered so higher filtration levels get larger indices."""
 
-    entries: np.ndarray
+    entries: "np.ndarray"
     row_edges: tuple
     col_edges: tuple
     row_levels: tuple = None
@@ -227,6 +226,8 @@ def _edge_order(g):
 
 
 def transition_matrix(f):
+    import numpy as np
+
     rows, row_levels = _edge_order(f.codomain)
     cols, col_levels = _edge_order(f.domain)
     rindex = {e: i for i, e in enumerate(rows)}
@@ -239,6 +240,8 @@ def transition_matrix(f):
 
 def submatrix(tm, r, s):
     """M_rs: the block of rows/columns whose levels lie in [r, s]."""
+    import numpy as np
+
     if tm.row_levels is None or tm.col_levels is None:
         raise ValueError("submatrix requires a filtered transition matrix")
     ri = [i for i, l in enumerate(tm.row_levels) if r <= l <= s]

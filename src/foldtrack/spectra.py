@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from itertools import groupby, zip_longest
 
-import numpy as np
-
 from .errors import NumericError
 from .graph_map import compose, tighten_map, transition_matrix
 
@@ -25,12 +23,16 @@ __all__ = [
 
 def lc(m):
     """Largest coefficient of a matrix (0 for empty)."""
+    import numpy as np
+
     m = np.asarray(m)
     return int(m.max(initial=0))
 
 
 def l_total(m):
     """Sum of all entries."""
+    import numpy as np
+
     m = np.asarray(m)
     return int(m.sum())
 
@@ -166,6 +168,8 @@ def _pf(rows):
     not a permutation cycle.  The moduli are numpy's: Python's abs of a
     complex number can differ from it in the last bit, and on a periodic
     block the largest modulus may be a complex eigenvalue's."""
+    import numpy as np
+
     lam = max(np.abs(np.linalg.eigvals(rows)).tolist())
     alpha = len(rows)
     big = max(map(max, rows))

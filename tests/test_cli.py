@@ -214,7 +214,7 @@ def test_experiment_jobs_capped(monkeypatch, tmp_path, jobs, trials, cores,
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     out = tmp_path / "out.tsv"
     assert cli.main(["experiment", "--trials", str(trials), "--rank", "2",
@@ -417,6 +417,60 @@ def test_import_builds_no_parser():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "True"]
+
+
+def test_numeric_stack_loads_only_where_a_command_computes(tmp_path):
+    """In a fresh process (pytest's own already holds numpy): importing the
+    CLI loads every foldtrack module the commands use but neither numpy nor
+    the process pool; `metric` and both forms of `invert` run without
+    numpy, and `spectrum` loads it."""
+    import pkgutil
+
+    import foldtrack
+    from foldtrack.graph import dump_graph
+    from foldtrack.metric import twist_family
+    paths = [tmp_path / "g0.json", tmp_path / "gm.json"]
+    for g, path in zip(twist_family(2, 10), paths):
+        dump_graph(g, path)
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(_fib_map_json()))
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "heavy = ('numpy', 'multiprocessing', 'concurrent.futures.process')\n"
+        "def loaded():\n"
+        "    return [m for m in heavy if m in sys.modules]\n"
+        "import foldtrack.cli as cli\n"
+        "report = {'import': loaded(), 'modules': sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] == 'foldtrack')}\n"
+        "def run(*argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert cli.main(list(argv)) == 0, argv\n"
+        "    return out.getvalue()\n"
+        "g0, gm, fmap, dump = sys.argv[1:]\n"
+        "run('metric', g0, gm)\n"
+        "run('invert', 'a->ab, b->a', '--out', dump)\n"
+        "run('invert', fmap)\n"
+        "report['metric_invert'] = loaded()\n"
+        "report['spectrum'] = json.loads(run('spectrum', 'a->ab, b->a'))\n"
+        "report['after_spectrum'] = loaded()\n"
+        "print(json.dumps(report))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *map(str, paths), str(map_path),
+         str(tmp_path / "dump.json")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["import"] == []
+    lazy = {"audits", "reducibility", "__main__"}
+    assert report["modules"] == sorted(
+        ["foldtrack"] + ["foldtrack." + m.name for m in
+                         pkgutil.iter_modules(foldtrack.__path__)
+                         if m.name not in lazy])
+    assert report["metric_invert"] == []
+    assert "numpy" in report["after_spectrum"]
+    assert abs(report["spectrum"]["gamma_hat"][0]["lambda"] - 1.6180339887) < 1e-8
+    assert report["spectrum"]["certified"] is True
 
 
 def test_input_error_printed_once():
