@@ -8,11 +8,12 @@ Text grammar: "a->ab, b->a" with letters a..z; inverses as uppercase or a
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import CapacityError, CertificationError, StructuralError
+from .errors import (
+    CapacityError, CertificationError, FoldtrackError, StructuralError,
+)
 from .folding import (
     FoldFactorization, InverseStats, clean_factorize, controlled_inverse,
     factorize,
@@ -23,7 +24,7 @@ from .graph import (
 from .graph_map import (
     GraphMap, apply_path, direction_map, tighten_map, transition_matrix,
 )
-from .spectra import ExpansionSpectrum, gamma_hat, spectrum_report
+from .spectra import ExpansionSpectrum, gamma_hat_many, spectrum_report
 from .words import (
     WORD_LENGTH_CAP, cyclic_reduce, generates_free_group,
     invert_automorphism_words, invert_word, reduce_word, substitute_reduced,
@@ -34,7 +35,8 @@ __all__ = [
     "rose_graph", "rose_representative", "read_automorphism", "is_inner",
     "simultaneously_conjugate", "check_train_track", "stable_gates",
     "word_growth_rate", "random_automorphism", "fold_inverse",
-    "expansion_pair", "ExpansionPair", "expansion_report", "normalize_outer",
+    "expansion_pair", "expansion_pairs", "ExpansionPair", "expansion_report",
+    "normalize_outer",
 ]
 
 log = logging.getLogger("foldtrack")
@@ -187,11 +189,15 @@ def _letter_totals(ws, letters):
     """Total length of the reduced words ws conjugated by each single letter
     x, read off the end letters: each nonempty word gains 2, less 2 if it
     starts with x and 2 more if it ends with x^-1."""
-    nonempty = [w for w in ws if w]
-    base = sum(map(len, ws)) + 2 * len(nonempty)
-    firsts = Counter(w[0] for w in nonempty)
-    lasts = Counter(w[-1] for w in nonempty)
-    return [base - 2 * (firsts[x] + lasts[-x]) for x in letters]
+    base = 0
+    ends = {}  # x -> words starting with x plus words ending with x^-1
+    for w in ws:
+        if w:
+            base += len(w) + 2
+            x, y = w[0], -w[-1]
+            ends[x] = ends.get(x, 0) + 1
+            ends[y] = ends.get(y, 0) + 1
+    return [base - 2 * ends.get(x, 0) for x in letters]
 
 
 def normalize_outer(aut):
@@ -526,25 +532,55 @@ class ExpansionPair:
         return math.log(self.lam) / math.log(self.mu)
 
 
+def expansion_pairs(auts):
+    """The ExpansionPair of each automorphism, or the FoldtrackError that
+    stopped it.  Each stage runs over the whole list before the next starts:
+    (1) the normal form, the tightened rose map f, the controlled inverse
+    from the fold factorization of f and the inverse's tightened rose map;
+    (2) Gamma-hat of all these rose maps in one gamma_hat_many batch; (3) the
+    train-track check on both rose maps.  An error stays with its own
+    automorphism."""
+    results = [None] * len(auts)
+    staged = []  # (position, phi, f, inverse, factorization, stats, fi)
+    maps = []    # f and fi of each staged automorphism, in turn
+    for k, aut in enumerate(auts):
+        try:
+            phi = normalize_outer(aut)
+            f = tighten_map(rose_representative(phi))
+            inv, fact, stats = _fold_inverse_of(factorize(f))
+            fi = tighten_map(rose_representative(inv))
+        except FoldtrackError as exc:
+            results[k] = exc
+            continue
+        staged.append((k, phi, f, inv, fact, stats, fi))
+        maps += (f, fi)
+    hats = gamma_hat_many(maps)
+    for (k, phi, f, inv, fact, stats, fi), hat, inv_hat in zip(
+            staged, hats[::2], hats[1::2]):
+        error = next((h for h in (hat, inv_hat) if isinstance(h, FoldtrackError)),
+                     None)
+        if error is not None:
+            results[k] = error
+            continue
+        pair = results[k] = ExpansionPair(
+            phi, inv, f, fi, fact, stats, hat, inv_hat, check_train_track(f),
+            check_train_track(fi))
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("expansion pair: lambda %s (certified %s, %d EG blocks), "
+                      "mu %s (certified %s, %d EG blocks)",
+                      pair.lam, pair.certified,
+                      len({e.stratum for e in pair.spectrum.entries}),
+                      pair.mu, pair.inverse_certified,
+                      len({e.stratum for e in pair.inverse_spectrum.entries}))
+    return results
+
+
 def expansion_pair(aut):
-    """lambda and mu of the outer class of aut, computed once: its normal
-    form, the tightened rose map f, the controlled inverse from the fold
-    factorization of f, and Gamma-hat with the train-track check on both
-    rose maps."""
-    phi = normalize_outer(aut)
-    f = tighten_map(rose_representative(phi))
-    inv, fact, stats = _fold_inverse_of(factorize(f))
-    fi = tighten_map(rose_representative(inv))
-    pair = ExpansionPair(phi, inv, f, fi, fact, stats, gamma_hat(f),
-                         gamma_hat(fi), check_train_track(f),
-                         check_train_track(fi))
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("expansion pair: lambda %s (certified %s, %d EG blocks), "
-                  "mu %s (certified %s, %d EG blocks)",
-                  pair.lam, pair.certified,
-                  len({e.stratum for e in pair.spectrum.entries}),
-                  pair.mu, pair.inverse_certified,
-                  len({e.stratum for e in pair.inverse_spectrum.entries}))
+    """lambda and mu of the outer class of aut: expansion_pairs of [aut],
+    raising the error that stopped it."""
+    pair = expansion_pairs([aut])[0]
+    if isinstance(pair, FoldtrackError):
+        raise pair
     return pair
 
 

@@ -21,7 +21,7 @@ import sys
 from concurrent import futures
 
 from .automorphisms import (
-    check_train_track, expansion_pair, expansion_report, fold_inverse,
+    check_train_track, expansion_pairs, expansion_report, fold_inverse,
     format_automorphism, normalize_outer, parse_automorphism,
     random_automorphism, rose_representative,
 )
@@ -132,20 +132,31 @@ def cmd_ratio(args):
     return EXIT_OK
 
 
-def _experiment_trial(params):
+# Trials per call of expansion_pairs, and at most per pool task: enough to
+# batch each stage, few enough to keep memory flat for any --trials.
+EXPERIMENT_CHUNK = 16
+
+
+def _experiment_chunk(params):
+    """Result tuples of trials start..stop-1: every automorphism is drawn
+    from its trial's own Philox stream first, then expansion_pairs runs on
+    the whole chunk."""
     import numpy as np
 
-    seed, trial, rank, length = params
-    rng = np.random.default_rng(np.random.Philox(key=seed, counter=[0, 0, 0, trial]))
-    aut = random_automorphism(rank, length, rng)
-    text = format_automorphism(aut)
-    try:
-        pair = expansion_pair(aut)
-    except FoldtrackError as exc:
-        return (trial, text, None, None, None, None, None, str(exc))
-    return (trial, text, pair.lam, pair.mu, pair.ratio,
-            pair.factorization.fold_count,
-            pair.certified and pair.inverse_certified, None)
+    seed, start, stop, rank, length = params
+    auts = [random_automorphism(rank, length, np.random.default_rng(
+                np.random.Philox(key=seed, counter=[0, 0, 0, trial])))
+            for trial in range(start, stop)]
+    rows = []
+    for trial, aut, pair in zip(range(start, stop), auts, expansion_pairs(auts)):
+        text = format_automorphism(aut)
+        if isinstance(pair, FoldtrackError):
+            rows.append((trial, text, None, None, None, None, None, str(pair)))
+        else:
+            rows.append((trial, text, pair.lam, pair.mu, pair.ratio,
+                         pair.factorization.fold_count,
+                         pair.certified and pair.inverse_certified, None))
+    return rows
 
 
 def cmd_experiment(args):
@@ -156,15 +167,18 @@ def cmd_experiment(args):
             raise ValueError("--%s must be nonnegative" % flag)
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
-    params = [(args.seed, t, args.rank, args.length)
-              for t in range(args.trials)]
     # a worker per trial at most, and no more than the machine has cores
-    workers = min(args.jobs, len(params), os.cpu_count() or 1)
+    workers = min(args.jobs, args.trials, os.cpu_count() or 1)
+    # contiguous chunks of trials, at least one per worker
+    size = min(EXPERIMENT_CHUNK, -(-args.trials // workers)) if workers else 1
+    chunks = [(args.seed, start, min(start + size, args.trials), args.rank,
+               args.length) for start in range(0, args.trials, size)]
     if workers > 1:
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_experiment_trial, params))
+            results = [row for rows in pool.map(_experiment_chunk, chunks)
+                       for row in rows]
     else:
-        results = [_experiment_trial(p) for p in params]
+        results = [row for chunk in chunks for row in _experiment_chunk(chunk)]
     lines = ["trial\taut\tlambda\tmu\tratio\tfolds\tcertified"]
     max_ratio = None
     for trial, text, lam, mu, ratio, folds, certified, err in results:

@@ -21,8 +21,9 @@ from .words import reduce_word
 __all__ = [
     "GraphMap", "make_graph_map", "identity_map", "apply_path", "compose",
     "tighten_map", "map_length", "edgelet_count", "gate_count", "direction_map",
-    "TransitionMatrix", "transition_matrix", "submatrix", "is_supported_on",
-    "respects_filtration", "is_marking_respecting", "subdivide", "restrict",
+    "TransitionMatrix", "transition_matrix", "transition_rows", "submatrix",
+    "is_supported_on", "respects_filtration", "is_marking_respecting",
+    "subdivide", "restrict",
 ]
 
 
@@ -228,14 +229,31 @@ def _edge_order(g):
 def transition_matrix(f):
     import numpy as np
 
-    rows, row_levels = _edge_order(f.codomain)
-    cols, col_levels = _edge_order(f.domain)
-    rindex = {e: i for i, e in enumerate(rows)}
-    m = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, e in enumerate(cols):
+    row_edges, row_levels = _edge_order(f.codomain)
+    col_edges, col_levels = _edge_order(f.domain)
+    m = np.array(_occurrences(f, row_edges, col_edges), dtype=np.int64)
+    return TransitionMatrix(m.reshape(len(row_edges), len(col_edges)),
+                            tuple(row_edges), tuple(col_edges), row_levels,
+                            col_levels)
+
+
+def transition_rows(f):
+    """The entries of transition_matrix(f) as rows of Python ints, with its
+    row and column edge orders; no numpy."""
+    row_edges = _edge_order(f.codomain)[0]
+    col_edges = _edge_order(f.domain)[0]
+    return (_occurrences(f, row_edges, col_edges), tuple(row_edges),
+            tuple(col_edges))
+
+
+def _occurrences(f, row_edges, col_edges):
+    """rows[i][j]: how often the image of col_edges[j] crosses row_edges[i]."""
+    rindex = {e: i for i, e in enumerate(row_edges)}
+    rows = [[0] * len(col_edges) for _ in row_edges]
+    for j, e in enumerate(col_edges):
         for d in f.edge_map[e - 1]:
-            m[rindex[abs(d)], j] += 1
-    return TransitionMatrix(m, tuple(rows), tuple(cols), row_levels, col_levels)
+            rows[rindex[abs(d)]][j] += 1
+    return rows
 
 
 def submatrix(tm, r, s):

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from itertools import groupby, zip_longest
 
 from .errors import NumericError
-from .graph_map import compose, tighten_map, transition_matrix
+from .graph_map import compose, tighten_map, transition_rows
 
 __all__ = [
     "lc", "l_total", "mlog", "BlockStructure", "block_structure", "pf_value",
     "pf_value_charpoly", "period", "ExpansionSpectrum", "SpectrumEntry",
-    "gamma", "gamma_hat", "maximal_invariant_filtration",
+    "gamma", "gamma_hat", "gamma_hat_many", "maximal_invariant_filtration",
 ]
 
 
@@ -75,7 +75,9 @@ def block_structure(m):
 def _blocks(rows):
     """block_structure of a list of rows.  reach[k] is the bitset of the
     indices k reaches, reflexive and closed by a Warshall pass; the SCCs are
-    its mutual-reachability classes."""
+    its mutual-reachability classes, which are the classes of equal reach:
+    if k reaches j and j reaches k they reach the same indices, and if they
+    reach the same indices, each reaches the other (reach is reflexive)."""
     n = len(rows)
     reach = [1 << k for k in range(n)]
     for j, row in enumerate(rows):
@@ -87,10 +89,11 @@ def _blocks(rows):
         for k in range(n):
             if reach[k] & bit:
                 reach[k] |= through
-    # each block is named by its minimal index
-    mutual = [reach[i] & sum(1 << j for j in range(n) if reach[j] >> i & 1)
-              for i in range(n)]
-    left = [(i, cls) for i, cls in enumerate(mutual) if cls & -cls == 1 << i]
+    classes = {}
+    for k, r in enumerate(reach):
+        classes[r] = classes.get(r, 0) | 1 << k
+    # each block is named by its minimal index, in increasing order
+    left = [((cls & -cls).bit_length() - 1, cls) for cls in classes.values()]
     blocks = []
     kinds = []
     unplaced = (1 << n) - 1
@@ -160,17 +163,33 @@ def pf_value(m):
     rows = _rows(m)
     if _blocks(rows).kinds != ("irreducible",):
         raise ValueError("pf_value requires an irreducible matrix")
-    return 1.0 if _is_permutation_cycle(rows) else _pf(rows)
+    if _is_permutation_cycle(rows):
+        return 1.0
+    return _checked_pf(_spectral_radii([rows])[0], rows)
 
 
-def _pf(rows):
-    """pf_value of the rows of a matrix already known to be irreducible and
-    not a permutation cycle.  The moduli are numpy's: Python's abs of a
-    complex number can differ from it in the last bit, and on a periodic
-    block the largest modulus may be a complex eigenvalue's."""
+def _spectral_radii(blocks):
+    """Largest eigenvalue modulus of each square block (rows of ints), with
+    one eigvals call per block size on the blocks of that size stacked.  The
+    moduli are numpy's: Python's abs of a complex number can differ from it
+    in the last bit, and on a periodic block the largest modulus may be a
+    complex eigenvalue's."""
     import numpy as np
 
-    lam = max(np.abs(np.linalg.eigvals(rows)).tolist())
+    by_size = {}
+    for pos, rows in enumerate(blocks):
+        by_size.setdefault(len(rows), []).append(pos)
+    radii = [None] * len(blocks)
+    for positions in by_size.values():
+        moduli = np.abs(np.linalg.eigvals([blocks[p] for p in positions]))
+        for p, lam in zip(positions, moduli.max(axis=1).tolist()):
+            radii[p] = lam
+    return radii
+
+
+def _checked_pf(lam, rows):
+    """lam, the spectral radius of the rows of an irreducible matrix that is
+    no permutation cycle, once it passes the classical PF bounds."""
     alpha = len(rows)
     big = max(map(max, rows))
     if lam > alpha * big + 1e-6 or lam ** alpha < big * (1 - 1e-9):
@@ -285,40 +304,78 @@ def maximal_invariant_filtration(f):
     edge-id blocks, their BlockStructure, the transition matrix as rows)."""
     if f.domain.edge_ends != f.codomain.edge_ends:
         raise ValueError("maximal filtration needs a self map")
-    tm = transition_matrix(f)
-    rows = tm.entries.tolist()
+    rows, _, col_edges = transition_rows(f)
     bs = _blocks(rows)
     # Order rows/cols by the condensation; col_edges == row_edges for self maps.
-    blocks_edges = tuple(tuple(tm.col_edges[i] for i in b) for b in bs.blocks)
+    blocks_edges = tuple(tuple(col_edges[i] for i in b) for b in bs.blocks)
     return blocks_edges, bs, rows
+
+
+def _gamma_many(maps):
+    """gamma of each self map, or the NumericError of its first block (by
+    level) that fails the PF bounds.  The EG candidates of all maps (the
+    irreducible blocks that are no permutation cycle) share one eigvals call
+    per block size; each keeps its own bound check."""
+    filtrations = [maximal_invariant_filtration(f) for f in maps]
+    candidates = []  # (map position, level, block rows, block edges)
+    for k, (blocks_edges, bs, rows) in enumerate(filtrations):
+        for level, (idx, kind, edges) in enumerate(
+                zip(bs.blocks, bs.kinds, blocks_edges), start=1):
+            if kind == "zero":
+                continue
+            sub = [[rows[i][j] for j in idx] for i in idx]
+            if not _is_permutation_cycle(sub):
+                candidates.append((k, level, sub, edges))
+    radii = _spectral_radii([c[2] for c in candidates])
+    entries = [[] for _ in maps]
+    errors = [None] * len(maps)
+    for (k, level, sub, edges), lam in zip(candidates, radii):
+        if errors[k] is not None:
+            continue  # an earlier block of this map failed
+        try:
+            lam = _checked_pf(lam, sub)
+        except NumericError as exc:
+            errors[k] = exc
+            continue
+        if lam > 1.0:
+            entries[k].append(SpectrumEntry(lam, _period(sub), level, edges))
+    spectra = []
+    for found, error, (blocks_edges, _, _) in zip(entries, errors, filtrations):
+        if error is not None:
+            spectra.append(error)
+            continue
+        found.sort(key=lambda e: (-e.value, e.stratum))
+        filtration = tuple(tuple(sorted(edges)) for edges in blocks_edges)
+        spectra.append(ExpansionSpectrum(tuple(found), filtration))
+    return spectra
+
+
+def _one(result):
+    """The single result of a batch of one, raising it when it is an error."""
+    if isinstance(result, NumericError):
+        raise result
+    return result
 
 
 def gamma(f):
     """Spectrum of Perron-Frobenius values of EG strata, decreasing."""
-    blocks_edges, bs, rows = maximal_invariant_filtration(f)
-    entries = []
-    for level, (idx, kind, edges) in enumerate(
-            zip(bs.blocks, bs.kinds, blocks_edges), start=1):
-        if kind == "zero":
-            continue
-        sub = [[rows[i][j] for j in idx] for i in idx]
-        if _is_permutation_cycle(sub):
-            continue
-        lam = _pf(sub)
-        if lam > 1.0:
-            entries.append(SpectrumEntry(lam, _period(sub), level, edges))
-    entries.sort(key=lambda e: (-e.value, e.stratum))
-    filtration = tuple(tuple(sorted(edges)) for edges in blocks_edges)
-    return ExpansionSpectrum(tuple(entries), filtration)
+    return _one(_gamma_many([f])[0])
+
+
+def gamma_hat_many(maps):
+    """gamma_hat of each self map, in one batch: see _gamma_many.  A map with
+    a block that fails the PF bounds gets that NumericError in place of its
+    spectrum, so the other maps of the batch keep theirs."""
+    return [spec if isinstance(spec, NumericError) else ExpansionSpectrum(
+                tuple(e for e in spec.entries for _ in range(e.multiplicity)),
+                spec.filtration)
+            for spec in _gamma_many(maps)]
 
 
 def gamma_hat(f):
     """gamma with each entry repeated by its block period (the multiplicity),
     equal to the p-th-root construction applied to f^p."""
-    base = gamma(f)
-    return ExpansionSpectrum(
-        tuple(e for e in base.entries for _ in range(e.multiplicity)),
-        base.filtration)
+    return _one(gamma_hat_many([f])[0])
 
 
 def gamma_hat_by_power(f):

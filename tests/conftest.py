@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from foldtrack.automorphisms import parse_automorphism, rose_graph
+from foldtrack.automorphisms import (
+    parse_automorphism, random_automorphism, rose_graph,
+)
 from foldtrack.graph import make_graph
 from foldtrack.graph_map import make_graph_map
 
@@ -35,3 +37,13 @@ def theta():
 
 def seeded_rng(seed, stream=0):
     return np.random.default_rng(np.random.Philox(key=seed, counter=[0, 0, 0, stream]))
+
+
+@pytest.fixture
+def experiment_draws():
+    """draw(rank, length, trials, seed=1): the automorphisms that
+    `experiment` draws for trials 0..trials-1, one Philox stream each."""
+    def draw(rank, length, trials, seed=1):
+        return [random_automorphism(rank, length, seeded_rng(seed, trial))
+                for trial in range(trials)]
+    return draw

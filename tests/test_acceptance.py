@@ -207,12 +207,11 @@ def test_acceptance_8_reducibility_oracle_agreement():
 
 
 def test_acceptance_9_experiment_symmetry():
-    from foldtrack.cli import _experiment_trial
+    from foldtrack.cli import _experiment_chunk
     t0 = time.perf_counter()
     max_ratio = None
     checked = 0
-    for trial in range(200):
-        row = _experiment_trial((20260909, trial, 3, 10))
+    for row in _experiment_chunk((20260909, 0, 200, 3, 10)):
         trial_id, text, lam, mu, ratio, folds, certified, err = row
         assert err is None, err
         if ratio is None:

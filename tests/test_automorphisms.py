@@ -8,11 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from foldtrack.errors import CapacityError, CertificationError, StructuralError
 from foldtrack.automorphisms import (
-    Automorphism, check_train_track, compose_automorphisms, expansion_pair,
-    expansion_report, fold_inverse, format_automorphism, is_inner,
-    normalize_outer, parse_automorphism, power, random_automorphism,
-    read_automorphism, rose_representative, simultaneously_conjugate,
-    word_growth_rate,
+    Automorphism, _conjugate_by_letter, _letter_totals, check_train_track,
+    compose_automorphisms, expansion_pair, expansion_pairs, expansion_report,
+    fold_inverse, format_automorphism, is_inner, normalize_outer,
+    parse_automorphism, power, random_automorphism, read_automorphism,
+    rose_representative, simultaneously_conjugate, word_growth_rate,
 )
 from foldtrack.graph_map import compose, identity_map, tighten_map, transition_matrix
 from foldtrack.spectra import gamma
@@ -378,3 +378,49 @@ def test_expansion_pair_logs_at_debug(caplog):
         "expansion pair: lambda None (certified True, 0 EG blocks), "
         "mu None (certified True, 0 EG blocks)",
     ]
+
+
+def test_letter_totals_are_conjugate_lengths():
+    ws = ((1, 2, -1), (-2,), (), (3, 1, -3), (2, -3, 1, 2))
+    letters = [s * x for x in range(1, 4) for s in (1, -1)]
+    assert _letter_totals(ws, letters) == [
+        sum(len(_conjugate_by_letter(w, x)) for w in ws) for x in letters]
+
+
+GOLDEN_SQUARE = (3 + math.sqrt(5)) / 2
+
+
+def test_braid_sigma1_sigma2_inverse_has_ratio_one(experiment_draws):
+    """sigma_1 sigma_2^-1 acts on F_3 as a pseudo-Anosov braid, so lambda =
+    mu = (3 + sqrt 5) / 2 with both sides certified: alone and as one trial
+    of a batch."""
+    braid = parse_automorphism("a->aca^-1, b->a, c->c^-1 bc")
+    others = experiment_draws(3, 10, 8)
+    batch = expansion_pairs(others[:4] + [braid] + others[4:])
+    for pair in (expansion_pair(braid), batch[4]):
+        assert abs(pair.lam - GOLDEN_SQUARE) < 1e-12
+        assert abs(pair.mu - GOLDEN_SQUARE) < 1e-12
+        assert pair.certified and pair.inverse_certified
+        assert abs(pair.ratio - 1.0) < 1e-12
+
+
+def test_certified_powers_square_lambda(experiment_draws):
+    """lambda(phi^2) = lambda(phi)^2 on every side certified for both phi and
+    phi^2 (r3 L10 x200, seed 1), and likewise for mu."""
+    auts = experiment_draws(3, 10, 200)
+    pairs = expansion_pairs(auts)
+    squares = expansion_pairs([power(aut, 2) for aut in auts])
+    checked = 0
+    for p, q in zip(pairs, squares):
+        for certified, value, square in (
+                (p.certified and q.certified, p.lam, q.lam),
+                (p.inverse_certified and q.inverse_certified, p.mu, q.mu)):
+            if not certified:
+                continue
+            if value is None:
+                assert square is None
+                continue
+            assert math.isclose(square, value ** 2, rel_tol=1e-9)
+            checked += 1
+    # 100 sides with an EG stratum are certified for both powers today
+    assert checked >= 100

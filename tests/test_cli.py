@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,63 @@ def test_experiment_jobs_capped(monkeypatch, tmp_path, jobs, trials, cores,
                      "--out", str(out)]) == 0
     assert asked == ([] if workers is None else [workers])
     assert len(out.read_text().splitlines()) == trials + 2
+
+
+def test_experiment_errors_stay_in_their_rows(monkeypatch, tmp_path,
+                                               experiment_draws):
+    """In one 10-trial batch, one trial's spectra raise NumericError and
+    another's factorize raises CertificationError: only those two rows read
+    ERROR, and every other row is byte-identical to an unpatched run."""
+    from foldtrack import automorphisms, cli, spectra
+    from foldtrack.errors import CertificationError, NumericError
+    from foldtrack.graph_map import transition_rows
+
+    def run(name):
+        out = tmp_path / name
+        assert cli.main(["experiment", "--rank", "3", "--length", "10",
+                         "--trials", "10", "--seed", "1", "--jobs", "1",
+                         "--out", str(out)]) == 0
+        return out.read_text().splitlines()
+
+    def eg_blocks(f, spectrum):
+        rows = transition_rows(f)[0]
+        return [tuple(tuple(rows[i - 1][j - 1] for j in e.block_edges)
+                      for i in e.block_edges) for e in spectrum.entries]
+
+    plain = run("plain.tsv")
+    pairs = automorphisms.expansion_pairs(experiment_draws(3, 10, 10))
+    blocks = [eg_blocks(p.rose_map, p.spectrum) for p in pairs]
+    seen = Counter(b for p, forward in zip(pairs, blocks) for b in
+                   forward + eg_blocks(p.inverse_rose_map, p.inverse_spectrum))
+    # a block no other map of the batch has, and a rose map of its own
+    numeric_trial, target = next((t, b) for t, forward in enumerate(blocks)
+                                 for b in forward if seen[b] == 1)
+    maps = Counter(p.rose_map.edge_map for p in pairs)
+    fold_trial = next(t for t, p in enumerate(pairs)
+                      if t != numeric_trial and maps[p.rose_map.edge_map] == 1)
+    check, factorize = spectra._checked_pf, automorphisms.factorize
+
+    def failing_check(lam, rows):
+        if rows == [list(r) for r in target]:
+            raise NumericError("injected bound failure")
+        return check(lam, rows)
+
+    def failing_factorize(f):
+        if f.edge_map == pairs[fold_trial].rose_map.edge_map:
+            raise CertificationError("injected fold failure")
+        return factorize(f)
+
+    monkeypatch.setattr(spectra, "_checked_pf", failing_check)
+    monkeypatch.setattr(automorphisms, "factorize", failing_factorize)
+    patched = run("patched.tsv")
+    assert len(patched) == len(plain) == 12
+    for trial in range(10):
+        line = plain[trial + 1]
+        if trial in (numeric_trial, fold_trial):
+            assert patched[trial + 1] == "\t".join(
+                line.split("\t")[:2] + ["ERROR"] * 5)
+        else:
+            assert patched[trial + 1] == line
 
 
 GOLDEN = Path(__file__).parent / "data"

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foldtrack.automorphisms import expansion_pair, parse_automorphism
+from foldtrack import spectra
+from foldtrack.automorphisms import (
+    expansion_pair, expansion_pairs, parse_automorphism, rose_graph,
+)
+from foldtrack.errors import NumericError
 from foldtrack.graph_map import make_graph_map
 from foldtrack.spectra import (
-    block_structure, gamma, gamma_hat, gamma_hat_by_power, lc, l_total, mlog,
-    period, pf_value, pf_value_charpoly, spectrum_report,
+    block_structure, gamma, gamma_hat, gamma_hat_by_power, gamma_hat_many, lc,
+    l_total, mlog, period, pf_value, pf_value_charpoly, spectrum_report,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -191,3 +195,66 @@ def test_gamma_hat_lex_order_preserved(rose2):
     a, b = gamma(f).values(), gamma(g).values()
     ah, bh = gamma_hat(f).values(), gamma_hat(g).values()
     assert (a > b) == (ah > bh)
+
+
+@pytest.mark.parametrize("rank,length,trials", [(3, 10, 200), (4, 30, 50),
+                                                (6, 60, 50)])
+def test_batched_spectra_equal_single_map_spectra(experiment_draws, rank,
+                                                  length, trials):
+    """Stacking the blocks of many maps into one eigvals call per size gives
+    every map the spectrum it gets alone, bit for bit."""
+    maps = [f for pair in expansion_pairs(experiment_draws(rank, length, trials))
+            for f in (pair.rose_map, pair.inverse_rose_map)]
+    assert gamma_hat_many(maps) == [gamma_hat_many([f])[0] for f in maps]
+
+
+def _rose_map(*images):
+    rose = rose_graph(len(images))
+    return make_graph_map(rose, rose, (0,), images)
+
+
+def test_batched_spectra_mix_block_sizes():
+    cube_root = 2 ** (1 / 3)
+    # a -> b -> c -> aa: one periodic 3x3 block whose eigenvalues are the
+    # cube roots of 2, two of them complex of the same modulus
+    periodic = [[0, 0, 2], [1, 0, 0], [0, 1, 0]]
+    assert np.iscomplex(np.linalg.eigvals(periodic)).sum() == 2
+    maps = [
+        _rose_map((1, 1)),                            # 1x1 block [[2]]
+        _rose_map((1, 2), (1,)),                      # Fibonacci
+        _rose_map((2,), (3,), (1, 1)),                # the periodic block
+        _rose_map((1, 2), (3,), (4,), (1,)),          # x^4 - x^3 - 1
+        _rose_map((1, 1), (3, 1), (4,), (2, 2)),      # blocks of size 1 and 3
+        _rose_map((2, 2), (1, 1)),                    # period 2
+        _rose_map((2,), (1,)),                        # a permutation: no EG
+    ]
+    batch = gamma_hat_many(maps)
+    assert batch == [gamma_hat_many([f])[0] for f in maps]
+    quartic = max(abs(x) for x in np.roots([1, -1, 0, 0, -1]))
+    want = [[2.0], [GOLDEN], [cube_root] * 3, [quartic], [2.0] + [cube_root] * 3,
+            [2.0, 2.0], []]
+    for spec, values in zip(batch, want):
+        assert len(spec) == len(values)
+        assert all(math.isclose(a, b, rel_tol=1e-12)
+                   for a, b in zip(spec.values(), values))
+
+
+def test_failed_bound_check_stays_with_its_map(monkeypatch, fibonacci):
+    """A block that fails the PF bounds puts a NumericError in its map's
+    place; the other maps of the batch keep their spectra, and gamma_hat
+    of that map alone raises it."""
+    check = spectra._checked_pf
+
+    def failing_check(lam, rows):
+        if rows == [[1, 1], [1, 0]]:
+            raise NumericError("Perron-Frobenius value violates its bounds")
+        return check(lam, rows)
+
+    other = _rose_map((1, 2), (3,), (1,))
+    want = gamma_hat(other)
+    monkeypatch.setattr(spectra, "_checked_pf", failing_check)
+    batch = gamma_hat_many([fibonacci, other])
+    assert isinstance(batch[0], NumericError)
+    assert batch[1] == want
+    with pytest.raises(NumericError):
+        gamma_hat(fibonacci)
