@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Run a seeded expansion-ratio experiment and write a TSV next to a small
-JSON sidecar recording the configuration."""
+JSON sidecar recording the configuration and the numpy and foldtrack
+versions (each trial's automorphism is read off numpy's Philox output)."""
 
 import argparse
 import json
 import pathlib
 import sys
 
+import numpy
+
+import foldtrack
 from foldtrack.cli import main as cli_main
 
 
@@ -32,7 +36,9 @@ def main():
         "--jobs", str(args.jobs),
         "--out", str(tsv),
     ])
-    meta.write_text(json.dumps(vars(args), indent=1, sort_keys=True) + "\n")
+    record = dict(vars(args), numpy_version=numpy.__version__,
+                  foldtrack_version=foldtrack.__version__)
+    meta.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print("wrote", tsv)
     return code
 

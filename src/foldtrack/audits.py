@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automorphisms import random_automorphism, rose_representative
+from .automorphisms import (
+    random_automorphism, rose_representative, trial_stream,
+)
 from .errors import CapacityError
 from .folding import FoldSpec, apply_fold_move
 from .graph import (
@@ -50,7 +52,9 @@ class SuiteResult:
 
 
 def _rng(seed, stream):
-    return np.random.default_rng(np.random.Philox(key=seed, counter=[0, 0, 0, stream]))
+    # a Generator, not trial_automorphisms' block reads: a suite draws from
+    # its stream again after each random_automorphism
+    return np.random.default_rng(trial_stream(seed, stream))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ __all__ = [
     "Automorphism", "parse_automorphism", "format_automorphism",
     "rose_graph", "rose_representative", "read_automorphism", "is_inner",
     "simultaneously_conjugate", "check_train_track", "stable_gates",
-    "word_growth_rate", "random_automorphism", "fold_inverse",
+    "word_growth_rate", "random_automorphism", "trial_automorphisms",
+    "trial_stream", "fold_inverse",
     "expansion_pair", "expansion_pairs", "ExpansionPair", "expansion_report",
     "normalize_outer",
 ]
@@ -446,17 +447,89 @@ def _slope_rate(logs):
 
 def random_automorphism(rank, length, rng, positive=False):
     """Seeded product of Nielsen transformations: x_i -> x_i x_j^(+-1),
-    transpositions, and inversions (the latter two skipped when positive)."""
+    transpositions, and inversions (the latter two skipped when positive).
+
+    Every bounded draw is one `rng.integers(0, k)` call on the numpy
+    Generator `rng`, so callers that share one Generator across several
+    draws (the tests, the audit suites) get the same automorphisms from the
+    same generator state, and leave `rng` where the next draw starts."""
+    return _nielsen_product(rank, length, lambda k: int(rng.integers(0, k)),
+                            positive)
+
+
+def trial_stream(seed, stream):
+    """The Philox bit generator of one experiment trial or audit stream:
+    key `seed`, counter [0, 0, 0, stream].  numpy raises ValueError unless
+    0 <= seed < 2**128."""
+    import numpy as np
+
+    return np.random.Philox(key=seed, counter=[0, 0, 0, stream])
+
+
+def trial_automorphisms(rank, length, seed, trials, positive=False):
+    """[random_automorphism(rank, length, numpy.random.default_rng(
+    trial_stream(seed, t)), positive) for t in trials], drawn without a
+    Generator: each trial's stream is read in blocks of 64-bit outputs and
+    every bound is applied as Generator.integers applies it
+    (`_bounded_draw`).  Nothing else reads a trial's stream, so reading past
+    the last word used is harmless.  `trials` is a sequence of counters."""
+    if not trials:
+        return []
+    # one bit generator, set back to a fresh generator's state at each
+    # trial's counter: building a new Philox costs ten times as much
+    bitgen = trial_stream(seed, trials[0])
+    state = bitgen.state
+    # two outputs (four words) cover a move that redraws nothing; the cap
+    # keeps a block small however long the word
+    block = min(2 * length + 2, 1024)
+    auts = []
+    for trial in trials:
+        state["state"]["counter"] = [0, 0, 0, trial]
+        bitgen.state = state
+        below = _bounded_draw(_stream_words(bitgen, block))
+        auts.append(_nielsen_product(rank, length, below, positive))
+    return auts
+
+
+def _stream_words(bitgen, block):
+    """The 32-bit words of a Philox stream in the order its next_uint32
+    hands them out: the low half of each 64-bit output first."""
+    while True:
+        outputs = bitgen.random_raw(block).astype("<u8", copy=False)
+        # little-endian halves of little-endian outputs, on any host
+        yield from outputs.view("<u4").tolist()
+
+
+def _bounded_draw(words):
+    """below(k), 1 <= k <= 2**32: a uniform int in [0, k) from the iterator
+    of 32-bit words, value for value as numpy's Generator.integers(0, k)
+    draws it from the same words (Lemire's multiply-and-reject).  k = 1
+    reads no word; otherwise m = x k for the next word x, redrawn while
+    m mod 2**32 < 2**32 mod k, and the draw is m >> 32."""
+    def below(k):
+        if k == 1:
+            return 0
+        threshold = (1 << 32) % k
+        m = next(words) * k
+        while m & 0xFFFFFFFF < threshold:
+            m = next(words) * k
+        return m >> 32
+    return below
+
+
+def _nielsen_product(rank, length, below, positive):
+    """The Nielsen-move loop of random_automorphism; below(k) is a uniform
+    draw from [0, k)."""
     images = [(i + 1,) for i in range(rank)]
+    kinds = ("mult",) if positive or rank == 1 else ("mult", "swap", "invert")
     for step in range(length):
-        kinds = ("mult",) if positive or rank == 1 else ("mult", "swap", "invert")
-        kind = kinds[int(rng.integers(0, len(kinds)))] if rank > 1 else "invert"
+        kind = kinds[below(len(kinds))] if rank > 1 else "invert"
         if kind == "mult":
-            i = int(rng.integers(0, rank))
-            j = int(rng.integers(0, rank - 1))
+            i = below(rank)
+            j = below(rank - 1)
             if j >= i:
                 j += 1
-            eps = 1 if positive else (1 if rng.integers(0, 2) else -1)
+            eps = 1 if positive else (1 if below(2) else -1)
             tail = images[j] if eps > 0 else invert_word(images[j])
             images[i] = reduce_word(images[i] + tail)
             if len(images[i]) > WORD_LENGTH_CAP:
@@ -466,13 +539,13 @@ def random_automorphism(rank, length, rng, positive=False):
             if not images[i]:
                 images[i] = (i + 1,)  # degenerate cancellation; reset petal
         elif kind == "swap":
-            i = int(rng.integers(0, rank))
-            j = int(rng.integers(0, rank - 1))
+            i = below(rank)
+            j = below(rank - 1)
             if j >= i:
                 j += 1
             images[i], images[j] = images[j], images[i]
         else:
-            i = int(rng.integers(0, rank))
+            i = below(rank)
             images[i] = invert_word(images[i])
     return make_automorphism(images, certify=False)
 

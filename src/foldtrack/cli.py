@@ -8,7 +8,7 @@ Set FOLDTRACK_LOG=DEBUG for diagnostics.
 
 numpy is imported where a command first computes with it, not here:
 `spectrum`, `ratio`, `experiment` and `audit` load it for eigenvalues, the
-growth cross-check and the experiment's generator; `metric` and `invert`
+growth cross-check and the experiment's Philox streams; `metric` and `invert`
 never do.  The process pool loads only for `experiment --jobs` above 1.
 """
 
@@ -23,7 +23,7 @@ from concurrent import futures
 from .automorphisms import (
     check_train_track, expansion_pairs, expansion_report, fold_inverse,
     format_automorphism, normalize_outer, parse_automorphism,
-    random_automorphism, rose_representative,
+    rose_representative, trial_automorphisms,
 )
 from .errors import CapacityError, CertificationError, FoldtrackError, StructuralError
 from .folding import clean_factorize, controlled_inverse
@@ -141,12 +141,8 @@ def _experiment_chunk(params):
     """Result tuples of trials start..stop-1: every automorphism is drawn
     from its trial's own Philox stream first, then expansion_pairs runs on
     the whole chunk."""
-    import numpy as np
-
     seed, start, stop, rank, length = params
-    auts = [random_automorphism(rank, length, np.random.default_rng(
-                np.random.Philox(key=seed, counter=[0, 0, 0, trial])))
-            for trial in range(start, stop)]
+    auts = trial_automorphisms(rank, length, seed, range(start, stop))
     rows = []
     for trial, aut, pair in zip(range(start, stop), auts, expansion_pairs(auts)):
         text = format_automorphism(aut)

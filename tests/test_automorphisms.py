@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 
@@ -8,15 +9,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from foldtrack.errors import CapacityError, CertificationError, StructuralError
 from foldtrack.automorphisms import (
-    Automorphism, _conjugate_by_letter, _letter_totals, check_train_track,
+    Automorphism, _bounded_draw, _conjugate_by_letter, _letter_totals,
+    _stream_words, check_train_track,
     compose_automorphisms, expansion_pair, expansion_pairs, expansion_report,
     fold_inverse, format_automorphism, is_inner, normalize_outer,
     parse_automorphism, power, random_automorphism, read_automorphism,
-    rose_representative, simultaneously_conjugate, word_growth_rate,
+    rose_representative, simultaneously_conjugate, trial_automorphisms,
+    trial_stream, word_growth_rate,
 )
 from foldtrack.graph_map import compose, identity_map, tighten_map, transition_matrix
 from foldtrack.spectra import gamma
 from foldtrack.words import conjugate, invert_automorphism_words, reduce_word
+
+from conftest import seeded_rng
 
 
 def test_parse_and_format():
@@ -424,3 +429,112 @@ def test_certified_powers_square_lambda(experiment_draws):
             checked += 1
     # 100 sides with an EG stratum are certified for both powers today
     assert checked >= 100
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 62 - 1, 2 ** 128 - 1, "random"],
+                         ids=["0", "2**62-1", "2**128-1", "random"])
+def test_trial_draw_matches_shared_generator(seed):
+    """trial_automorphisms reads each trial's Philox stream in blocks and
+    bounds each word itself; it draws what random_automorphism draws from a
+    Generator on the same stream: 552 draws per seed over ranks 1-8 and 26,
+    lengths 0, 1, 10 and 40, positive or not, in runs of 8 trials from a
+    random counter (2208 in all).  Positive products of 40 moves are left
+    out at ranks 2 and 3, where they grow like Fibonacci numbers (3.5e7
+    letters at rank 2)."""
+    draws = random.Random(17)
+    checked = 0
+    for rank in (*range(1, 9), 26):
+        for length in (0, 1, 10, 40):
+            for positive in (False, True):
+                if positive and length == 40 and rank <= 3:
+                    continue
+                key = draws.getrandbits(62) if seed == "random" else seed
+                start = draws.getrandbits(32)
+                trials = range(start, start + 8)
+                want = [random_automorphism(rank, length, seeded_rng(key, t),
+                                            positive) for t in trials]
+                got = trial_automorphisms(rank, length, key, trials, positive)
+                assert got == want, (rank, length, positive, key, start)
+                checked += len(got)
+    assert checked == 552
+    assert trial_automorphisms(3, 10, key, range(0)) == []
+
+
+def test_bounded_draw_redraws_as_lemire():
+    """Hand-made words: k = 1 reads none; k = 3 redraws the word 0 (its
+    product's low half 0 lies below 2**32 mod 3 = 1) and maps the next word
+    x to 3x >> 32."""
+    words = iter([0, 2 ** 32 - 1, 5, 2 ** 31 + 1])
+    below = _bounded_draw(words)
+    assert below(1) == 0
+    assert below(3) == 2        # word 0 redrawn, then (3 (2**32 - 1)) >> 32
+    assert below(2 ** 32) == 5  # 2**32 mod 2**32 = 0: nothing is redrawn
+    assert below(26) == 13
+    assert below(1) == 0
+    assert next(words, None) is None
+    assert _bounded_draw(iter([]))(1) == 0
+
+
+def test_bounded_draw_matches_generator_on_redraws():
+    """With bounds whose redraw share is a quarter to a half, the block
+    source agrees with Generator.integers draw for draw, so the redraw
+    branch is checked against numpy itself."""
+    ks = [3 * 2 ** 30, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32, 1, 2, 3, 26]
+    for trial in range(4):
+        rng = seeded_rng(2 ** 100 + 7, trial)
+        words = _stream_words(trial_stream(2 ** 100 + 7, trial), 5)
+        used = []
+
+        def counted():
+            for w in words:
+                used.append(w)
+                yield w
+        below = _bounded_draw(counted())
+        draws = [ks[i % len(ks)] for i in range(400)]
+        assert [below(k) for k in draws] == [int(rng.integers(0, k))
+                                             for k in draws]
+        # every bound above 1 reads at least one word; the excess are redraws
+        assert len(used) > sum(k > 1 for k in draws)
+
+
+BRAIDS = [
+    # sigma_1^-1 sigma_2: mu certified, lambda an upper bound reading 2.8312
+    (parse_automorphism("a->c, b->c^-1 b^-1 abc, c->b"), GOLDEN_SQUARE),
+    # sigma_1^2 sigma_2^-1: mu certified, lambda reading 2 + sqrt 5
+    (parse_automorphism("a->a, b->c, c->c^-1 a^-1 c^-1 bcac"), 2 + math.sqrt(3)),
+    # (sigma_1 sigma_2^-1)^2: mu certified, lambda reading 7.4447
+    (power(parse_automorphism("a->aca^-1, b->a, c->c^-1 bc"), 2),
+     GOLDEN_SQUARE ** 2),
+]
+
+
+@pytest.mark.parametrize("braid,stretch", BRAIDS)
+def test_braid_closed_forms(braid, stretch):
+    """A braid's stretch factor is lambda = mu.  The certified side reads it
+    to 1e-9; the other side is an uncertified rose bound and reads at least
+    that much (until ROADMAP item 1 certifies it)."""
+    pair = expansion_pair(braid)
+    assert pair.inverse_certified
+    assert abs(pair.mu - stretch) < 1e-9
+    assert not pair.certified
+    assert pair.lam >= stretch
+
+
+TRIAL_24 = "a->bba^-1, b->ba^-1, c->c^-1 ba^-1"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the uncertified rose bound reads lambda = mu = 1 + sqrt 2"
+    " on r3 trial 24, while the rose map of phi^2 has no EG stratum"))
+def test_power_identity_at_r3_trial_24(experiment_draws):
+    """lambda(phi)^2 = lambda(phi^2) at trial 24 of experiment r3 L10 seed 1,
+    where NA squares to NA."""
+    phi = experiment_draws(3, 10, 25)[24]
+    assert format_automorphism(phi) == TRIAL_24
+    pair, square = expansion_pairs([phi, power(phi, 2)])
+    for value, squared in ((pair.lam, square.lam), (pair.mu, square.mu)):
+        if value is None:
+            assert squared is None
+        else:
+            assert squared is not None
+            assert math.isclose(squared, value ** 2, rel_tol=1e-9)

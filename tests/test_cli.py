@@ -192,6 +192,23 @@ def test_experiment_jobs_below_one_exit_2(value):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_experiment_seed_range(jobs):
+    """A trial's Philox key is the seed: numpy refuses one outside
+    [0, 2**128) with exit 2, in the main process or in a pool worker, and
+    the largest seed runs."""
+    argv = ("experiment", "--trials", "3", "--length", "3", "--jobs", jobs)
+    for seed in (-1, 2 ** 128):
+        proc = run_cli(*argv, "--seed", str(seed))
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: key must be positive and less than "
+                               "2**128.\n")
+        assert proc.stdout == ""
+    proc = run_cli(*argv, "--seed", str(2 ** 128 - 1))
+    assert proc.returncode == 0
+    assert len(proc.stdout.splitlines()) == 5
+
+
 @pytest.mark.parametrize("jobs,trials,cores,workers", [
     (10_000, 3, 2, 2), (10_000, 3, 8, 3), (4, 50, 8, 4), (10_000, 1, 8, None),
 ])
