@@ -26,7 +26,7 @@ from .graph_map import (
 )
 from .spectra import ExpansionSpectrum, gamma_hat_many, spectrum_report
 from .words import (
-    WORD_LENGTH_CAP, cyclic_reduce, generates_free_group,
+    WORD_LENGTH_CAP, _descend, cyclic_reduce, generates_free_group,
     invert_automorphism_words, invert_word, reduce_word, substitute_reduced,
 )
 
@@ -240,31 +240,20 @@ def _least_conjugate(images, rank):
     PLATEAU_STATE_CAP states, returning the least tuple seen so far).
 
     Total conjugate length is a sum of tree-distance functions of the
-    conjugator, hence convex on the Cayley tree: single-letter descent finds
-    the minimum and the minimizing conjugators form a connected plateau,
-    which is walked exhaustively.  Each letter's total comes from the
-    images' end letters; only the images conjugated by a letter of least
-    total are built.
+    conjugator, hence convex on the Cayley tree: the rose's vertex image
+    descent finds the minimum and the minimizing conjugators form a
+    connected plateau, which is walked exhaustively.  Each letter's total
+    comes from the images' end letters; only the images conjugated by a
+    letter keeping the least total are built.
     """
     # conjugates of reduced words are reduced: only the input is reduced
     # here, and the descent and the walk start from the reduced tuple
-    ws = tuple(reduce_word(w) for w in images)
-
-    def total(ws):
-        return sum(len(w) for w in ws)
-
-    def conj(ws, x):
-        return tuple(_conjugate_by_letter(w, x) for w in ws)
-
+    ws = [reduce_word(w) for w in images]
+    _descend(ws, (*range(1, len(ws) + 1), *range(-len(ws), 0)))
+    ws = tuple(ws)
     letters = [s * l for l in range(1, rank + 1) for s in (1, -1)]
-    while True:
-        totals = _letter_totals(ws, letters)
-        least = min(totals, default=None)
-        if least is None or least >= total(ws):
-            break
-        ws = min(conj(ws, x) for x, t in zip(letters, totals) if t == least)
     # exhaustive walk of the minimum plateau
-    cur_t = total(ws)
+    cur_t = sum(map(len, ws))
     seen = {ws}
     queue = [ws]
     best = ws
@@ -276,7 +265,7 @@ def _least_conjugate(images, rank):
         for x, t in zip(letters, totals):
             if t != cur_t:
                 continue
-            cand = conj(ws, x)
+            cand = tuple(_conjugate_by_letter(w, x) for w in ws)
             if cand not in seen:
                 seen.add(cand)
                 queue.append(cand)
@@ -357,20 +346,19 @@ def check_train_track(f):
 # growth rates
 # ---------------------------------------------------------------------------
 
-def word_growth_rate(aut, seeds=None, k_max=40, length_cap=GROWTH_LENGTH_CAP):
+def word_growth_rate(aut, seeds=None, k_max=40):
     """Multiplicative growth-rate estimate of cyclic lengths under iteration.
 
     Least-squares slope of log cyclic length over the last k_max/2 samples;
-    beyond the length cap the iteration switches to occurrence vectors under
-    the transition matrix of the tightened rose map (same asymptotics, no
-    exponential memory).
+    beyond GROWTH_LENGTH_CAP letters the iteration switches to occurrence
+    vectors under the transition matrix of the tightened rose map (same
+    asymptotics, no exponential memory).
     """
     f = tighten_map(rose_representative(aut))
-    return _growth_rate(aut, f, check_train_track(f), seeds, k_max, length_cap)
+    return _growth_rate(aut, f, check_train_track(f), seeds, k_max)
 
 
-def _growth_rate(aut, f, matrix_exact, seeds=None, k_max=40,
-                 length_cap=GROWTH_LENGTH_CAP):
+def _growth_rate(aut, f, matrix_exact, seeds=None, k_max=40):
     """word_growth_rate given aut's tightened rose map f and check_train_track(f)."""
     if k_max < 8:
         raise ValueError("k_max must be at least 8")
@@ -401,7 +389,7 @@ def _growth_rate(aut, f, matrix_exact, seeds=None, k_max=40,
                     logs = []
                     break
                 logs.append(math.log(n))
-                if n > length_cap:
+                if n > GROWTH_LENGTH_CAP:
                     vec = _letter_counts(w, aut.rank)
             else:
                 vec = m @ vec

@@ -155,12 +155,16 @@ def _experiment_chunk(params):
     return rows
 
 
+def _check_nonnegative(args, *flags):
+    for flag in flags:
+        if getattr(args, flag) < 0:
+            raise ValueError("--%s must be nonnegative" % flag)
+
+
 def cmd_experiment(args):
     if not 1 <= args.rank <= 26:
         raise ValueError("--rank must be in 1..26: generators are the letters a..z")
-    for flag in ("trials", "length"):
-        if getattr(args, flag) < 0:
-            raise ValueError("--%s must be nonnegative" % flag)
+    _check_nonnegative(args, "trials", "length")
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     # a worker per trial at most, and no more than the machine has cores
@@ -203,6 +207,7 @@ def cmd_audit(args):
         gates_suite, largest_bounds_suite, matrix_pair_suite, pg_suite,
         reducibility_agreement_suite, twist_metric_rows,
     )
+    _check_nonnegative(args, "trials", "budget")
     failures = 0
     suites = [
         matrix_pair_suite(trials=args.trials, seed=args.seed),

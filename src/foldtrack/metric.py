@@ -2,8 +2,8 @@
 maps of log total edge length, plus empirical audits of the quasi-metric
 axioms.
 
-Everything here is an upper bound: exact minimization over a homotopy class
-is not attempted, and outputs are labeled accordingly.
+Every value is an upper bound: the log of the least total edge length that
+vertex slides reach from the canonical difference map, not d itself.
 """
 
 import math
@@ -13,7 +13,7 @@ from functools import cached_property
 from .graph import _pi1_word, make_graph, pi1_generators, rank, spanning_tree
 from .graph_map import GraphMap, edgelet_count, map_length
 from .words import (
-    _invert_reduced, _reduce_by_letter_set, _substitute_seams, reduce_word,
+    _descend, _invert_reduced, _reduce_by_letter_set, _substitute_seams,
 )
 
 __all__ = ["MetricEstimate", "difference_map", "estimate_d",
@@ -102,66 +102,31 @@ def difference_map(g, h):
 
 
 def slide_normalize(f):
-    """Slide vertex images across shared first edges while some T(f,v) = 1.
-
-    The slide is a homotopy moving f(v) across e': every direction at v gets
-    e'^-1 prepended, which strips a letter from directions whose image
-    starts with e' and grows collapsed edges by one letter.  A slide is
-    applied only when it strictly lowers the total edge length, a
-    nonnegative integer, so the loop ends.  Each slide keeps every image a
-    path between the new vertex images.
+    """The vertex image descent (words._descend) at each vertex in turn,
+    until no vertex slides; edge images must be reduced.  A slide of f(v)
+    across a path c is a homotopy, and each lowers the total edge length.
+    On a rose the result has the least total over all conjugates of the
+    images (the total is convex in the conjugator); on other domains it is
+    a local minimum, so its total only bounds d from above.
     """
     g, h = f.domain, f.codomain
-    vmap = list(f.vertex_map)
+    vmap = f.vertex_map
     emap = list(f.edge_map)
     links = g.links()
-    slid = True
-    while slid:
-        slid = False
-        for v in range(g.num_vertices):
-            firsts = set()
-            for d in links[v]:
-                p = emap[abs(d) - 1]
-                if not p:
-                    continue
-                firsts.add(p[0] if d > 0 else -p[-1])
-            if len(firsts) != 1:
-                continue
-            e_prime = next(iter(firsts))
-            incident = sorted({abs(d) for d in links[v]})
-            new_images = {}
-            old_total = new_total = 0
-            for x in incident:
-                p = tuple(emap[x - 1])
-                u, w = g.edge_ends[x - 1]
-                q = p
-                if u == v:
-                    q = (-e_prime,) + q
-                if w == v:
-                    q = q + (e_prime,)
-                q = reduce_word(q)
-                new_images[x] = q
-                old_total += len(p)
-                new_total += len(q)
-            if new_total >= old_total:
-                continue
-            for x, q in new_images.items():
-                emap[x - 1] = q
-            vmap[v] = h.term(e_prime)
-            slid = True
-            break
-    return GraphMap(g, h, tuple(vmap), tuple(tuple(p) for p in emap))
+    while True:
+        lasts = [_descend(emap, dirs) for dirs in links]
+        if not any(lasts):  # letters are nonzero
+            return GraphMap(g, h, tuple(vmap), tuple(emap))
+        vmap = [v if x is None else h.term(x) for v, x in zip(vmap, lasts)]
 
 
 def _estimate(a, b):
     """estimate_d of the graphs of two _Marking records."""
     f = _difference_map(a, b)
-    candidates = [(map_length(f), f, "canonical")]
     slid = slide_normalize(f)
-    if edgelet_count(slid) > 0:
-        candidates.append((map_length(slid), slid, "fold-normalized"))
-    value, witness, method = min(candidates, key=lambda t: t[0])
-    return MetricEstimate(value, witness, method)
+    if 0 < edgelet_count(slid) < edgelet_count(f):
+        return MetricEstimate(map_length(slid), slid, "fold-normalized")
+    return MetricEstimate(map_length(f), f, "canonical")
 
 
 def estimate_d(g, h):

@@ -394,11 +394,11 @@ def gamma_hat_by_power(f):
     return sorted(vals, reverse=True)
 
 
-def spectrum_report(hat, certified=None):
+def spectrum_report(hat, certified):
     """JSON-ready report of a gamma_hat spectrum.  Its entries repeat each
     Gamma value once per unit of multiplicity, consecutively, so Gamma is the
     first entry of each stratum."""
-    data = {
+    return {
         "gamma": [next(run).value for _, run in
                   groupby(hat.entries, key=lambda e: e.stratum)],
         "gamma_hat": [
@@ -407,7 +407,5 @@ def spectrum_report(hat, certified=None):
             for e in hat.entries
         ],
         "filtration": [list(edges) for edges in hat.filtration],
+        "certified": bool(certified),
     }
-    if certified is not None:
-        data["certified"] = bool(certified)
-    return data

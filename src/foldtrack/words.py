@@ -288,6 +288,49 @@ def _substitute_seams(ws, images):
     return tuple(out)
 
 
+def _descend(images, dirs):
+    """Slide one vertex image while that shortens the edge images, and
+    return the last letter slid across (None when nothing slides).
+
+    `images` is a list of reduced edge paths, indexed by edge id - 1 and
+    changed in place; `dirs` are the directions at the vertex (e where edge
+    e starts there, -e where it ends).  A slide across x prepends x^-1 to
+    every direction's image, so the total drops exactly when more than half
+    of the directions start with x, not counting a collapsed loop, which
+    stays collapsed.  First letters are read off the images' end letters.
+    A slide crosses at once the longest prefix c shared by the directions
+    starting with x: they lose c and the others gain c^-1, which cannot
+    cancel.
+    """
+    last = None
+    while True:
+        firsts = [(p[0] if d > 0 else -p[-1]) if (p := images[abs(d) - 1])
+                  else 0 for d in dirs]
+        heads = sorted(filter(None, firsts))
+        # a letter starting more than half of them is the median first letter
+        x = heads[len(heads) // 2] if heads else None
+        counted = len(dirs)
+        if 0 in firsts:
+            counted -= sum(-d in dirs for d, a in zip(dirs, firsts) if not a)
+        if x is None or 2 * firsts.count(x) <= counted:
+            return last
+        xs = [images[d - 1] if d > 0 else invert_word(images[-d - 1])
+              for d, a in zip(dirs, firsts) if a == x]
+        k = _longest(min(map(len, xs)),
+                     lambda lo, hi: len({w[lo:hi] for w in xs}) == 1)
+        c = xs[0][:k]
+        inv = invert_word(c)
+        for d, a in zip(dirs, firsts):
+            if not a and -d in dirs:
+                continue  # a collapsed loop stays collapsed
+            p = images[abs(d) - 1]
+            if d > 0:
+                images[d - 1] = p[k:] if a == x else inv + p
+            else:
+                images[-d - 1] = p[:len(p) - k] if a == x else p + c
+        last = c[-1]
+
+
 # ---------------------------------------------------------------------------
 # Nielsen reduction
 # ---------------------------------------------------------------------------

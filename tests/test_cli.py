@@ -184,6 +184,15 @@ def test_experiment_negative_count_exit_2(flag, value):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("flag,value",
+                         [("--trials", "-5"), ("--budget", "-1")])
+def test_audit_negative_size_exit_2(flag, value):
+    proc = run_cli("audit", flag, value)
+    assert proc.returncode == 2
+    assert "error: %s must be nonnegative" % flag in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("value", ["0", "-4"])
 def test_experiment_jobs_below_one_exit_2(value):
     proc = run_cli("experiment", "--trials", "1", "--jobs", value)

@@ -57,6 +57,22 @@ def test_slide_normalization_shrinks():
     assert map_length(slid) < est_direct
 
 
+def test_conjugated_twist_reaches_least_total():
+    """G is the rose marked (u x1 u^-1, u x2 x1^m u^-1), u = x2 x1 x2, and H
+    the rose marked (x2 x1^50, x1).  At m = 70 the least total over vertex
+    slides is 51 (m + 1) - 1 = 3620 in both directions.  A rule that slides
+    only when every first letter agrees stops at 10656, one letter and one
+    reduction of every incident image per slide."""
+    from foldtrack.words import conjugate
+    u, m = (2, 1, 2), 70
+    g = make_graph(1, [(0, 0)] * 2, basepoint=0,
+                   marking=[conjugate((1,), u), conjugate((2,) + (1,) * m, u)])
+    h = make_graph(1, [(0, 0)] * 2, basepoint=0,
+                   marking=[(2,) + (1,) * 50, (1,)])
+    assert estimate_d(g, h).total_edge_length == 3620
+    assert estimate_d(h, g).total_edge_length == 3620
+
+
 def test_estimate_never_worse_than_canonical(rose2):
     remarked = make_graph(1, [(0, 0)] * 2, basepoint=0,
                           marking=[(2, 1, -2), (2,)])

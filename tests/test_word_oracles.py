@@ -840,11 +840,12 @@ def _base_graphs():
 
 
 @st.composite
-def remarked_graphs(draw, rank):
-    """A graph of rank `rank`, one vertex or several, remarked through a
-    random automorphism.  The new marking paths are the old marking loops
-    joined as they are, with backtracks inserted, so they are unreduced."""
-    g = draw(st.sampled_from([b for b in _base_graphs()
+def remarked_graphs(draw, rank, bases=None):
+    """A graph of rank `rank` among `bases` (the test graphs, one vertex or
+    several, by default), remarked through a random automorphism.  The new
+    marking paths are the old marking loops joined as they are, with
+    backtracks inserted, so they are unreduced."""
+    g = draw(st.sampled_from([b for b in bases or _base_graphs()
                               if len(b.marking) == rank]))
     aut = random_automorphism(rank, draw(st.integers(0, 8)),
                               np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
@@ -868,6 +869,13 @@ def graph_pairs(draw):
     return draw(remarked_graphs(rank)), draw(remarked_graphs(rank))
 
 
+@st.composite
+def marked_rose_pairs(draw):
+    rank = draw(st.integers(2, 4))
+    roses = [rose_graph(rank)]
+    return draw(remarked_graphs(rank, roses)), draw(remarked_graphs(rank, roses))
+
+
 def assert_estimate_matches_reference(g, h):
     f = difference_map(g, h)
     ref = ref_difference_map(g, h)
@@ -886,6 +894,18 @@ def test_difference_map_matches_reference(pair):
     g, h = pair
     assert_estimate_matches_reference(g, h)
     assert_estimate_matches_reference(h, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(marked_rose_pairs())
+def test_estimate_on_a_rose_reaches_least_conjugate_total(pair):
+    """On a one-vertex domain the witness total is the least total of the
+    conjugates of the canonical map's images: that total is convex in the
+    conjugator, so the vertex image descent cannot stop above it."""
+    g, h = pair
+    images = difference_map(g, h).edge_map
+    least = ref_normalize_outer(Automorphism(len(images), images))
+    assert estimate_d(g, h).total_edge_length == sum(map(len, least))
 
 
 @pytest.mark.parametrize("labeling", TWIST_LABELINGS)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from foldtrack.automorphisms import simultaneously_conjugate
 from foldtrack.errors import CertificationError
 from foldtrack.words import (
-    conjugate, cyclic_length, cyclic_reduce, generates_free_group,
+    _descend, conjugate, cyclic_length, cyclic_reduce, generates_free_group,
     invert_automorphism_words, invert_word, nielsen_reduce, reduce_word,
     substitute_reduced,
 )
@@ -109,3 +109,17 @@ def test_simultaneous_conjugator_complete(u, n):
 
 def test_simultaneous_conjugator_rejects_non_conjugate():
     assert not simultaneously_conjugate([(1, 2), (2,)], [(1,), (2,)])
+
+
+@pytest.mark.parametrize("images, dirs, last, slid", [
+    # a collapsed loop is not counted: both directions of the other loop
+    # start with 1, so the vertex slides across 1
+    ([(), (1, 2, -1)], (1, 2, -1, -2), 1, [(), (2,)]),
+    # a collapsed edge to another vertex counts, and gains the letter
+    ([(3, 4, -3), ()], (1, -1, 2), 3, [(4,), (-3,)]),
+    # two of four directions start with 3: sliding would keep the total
+    ([(3, 4, -3), (), ()], (1, -1, 2, 3), None, [(3, 4, -3), (), ()]),
+])
+def test_descend_counts_directions(images, dirs, last, slid):
+    assert _descend(images, dirs) == last
+    assert images == slid
