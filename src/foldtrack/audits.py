@@ -22,7 +22,7 @@ from .graph import (
     subgraph_components, subgraph_rank, tree_path,
 )
 from .graph_map import (
-    apply_path, compose, gate_count, make_graph_map, restrict, tighten_map,
+    apply_path, compose, gate_count, make_graph_map, restrict,
     transition_matrix,
 )
 from .metric import _estimates, twist_family
@@ -117,8 +117,8 @@ def gates_suite(trials=200, seed=0, rank=3, length=6):
     rng = _rng(seed, 3)
     failures = []
     for t in range(trials):
-        f1 = tighten_map(rose_representative(random_automorphism(rank, length, rng)))
-        f2 = tighten_map(rose_representative(random_automorphism(rank, length, rng)))
+        f1 = rose_representative(random_automorphism(rank, length, rng))
+        f2 = rose_representative(random_automorphism(rank, length, rng))
         comp = compose(f2, f1)
         for v in range(f1.domain.num_vertices):
             val = len(f1.domain.links()[v])

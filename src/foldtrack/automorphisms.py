@@ -9,25 +9,25 @@ Text grammar: "a->ab, b->a" with letters a..z; inverses as uppercase or a
 import logging
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import chain
 
 from .errors import (
     CapacityError, CertificationError, FoldtrackError, StructuralError,
 )
 from .folding import (
-    FoldFactorization, InverseStats, clean_factorize, controlled_inverse,
-    factorize,
+    FoldFactorization, clean_factorize, controlled_inverse, factorize,
+    inverse_stats,
 )
 from .graph import (
     Graph, pi1_generators, pi1_word, spanning_tree, tree_path,
 )
-from .graph_map import (
-    GraphMap, apply_path, direction_map, tighten_map, transition_matrix,
-)
+from .graph_map import GraphMap, apply_path, direction_map, transition_matrix
 from .spectra import ExpansionSpectrum, gamma_hat_many, spectrum_report
 from .words import (
-    WORD_LENGTH_CAP, _descend, cyclic_reduce, generates_free_group,
-    invert_automorphism_words, invert_word, reduce_word, substitute_reduced,
+    WORD_LENGTH_CAP, _cancellation, _descend, cyclic_reduce,
+    generates_free_group, invert_automorphism_words, invert_word, reduce_word,
+    substitute_reduced,
 )
 
 __all__ = [
@@ -50,7 +50,13 @@ PLATEAU_STATE_CAP = 10_000  # normalize_outer's plateau walk warns and stops
 
 @dataclass(frozen=True)
 class Automorphism:
-    """Generator images of a certified automorphism of F_n."""
+    """Generator images of a certified automorphism of F_n.
+
+    The images are reduced words.  Every producer in this module keeps that
+    true (parsing, the random draws, composition, powers, the outer normal
+    form, fold inversion, reading a map), and the rose map of an
+    automorphism and its fold factorization rely on it instead of reducing
+    the images again."""
 
     rank: int
     images: tuple  # tuple of reduced words
@@ -62,10 +68,12 @@ class Automorphism:
         return all(w == (i + 1,) for i, w in enumerate(self.images))
 
 
-def make_automorphism(images, certify=True):
+def make_automorphism(images):
+    """The Automorphism of outside images: reduced, then certified to
+    generate the free group."""
     images = tuple(reduce_word(w) for w in images)
     rank = len(images)
-    if certify and not generates_free_group(images, rank):
+    if not generates_free_group(images, rank):
         raise CertificationError(
             "images do not define an automorphism: %s"
             % format_automorphism(Automorphism(rank, images)))
@@ -164,14 +172,19 @@ def format_automorphism(aut):
 # rose representatives and reading automorphisms off maps
 # ---------------------------------------------------------------------------
 
+@cache
 def rose_graph(n):
     """The rose R_n with identity marking.  Built directly: every petal is
-    a loop at the one vertex, so there is nothing to validate."""
+    a loop at the one vertex, so there is nothing to validate.  A Graph is
+    frozen, so one rose per rank is shared: a rose self map's domain is its
+    codomain."""
     return Graph(1, ((0, 0),) * n, basepoint=0,
                  marking=tuple((i,) for i in range(1, n + 1)))
 
 
 def rose_representative(aut):
+    """The rose self map x_i -> aut.images[i]; tight, as the images are
+    reduced."""
     # any word in the letters +-1..n is a loop at the rose's one vertex
     rose = rose_graph(aut.rank)
     return GraphMap(rose, rose, (0,), aut.images)
@@ -204,8 +217,12 @@ def _letter_totals(ws, letters):
 def normalize_outer(aut):
     """Canonical outer representative: conjugate all images by the word
     minimizing total image length, ties by lexicographically least tuple.
-    Logs a WARNING when the plateau walk stops at PLATEAU_STATE_CAP."""
-    best, finished = _least_conjugate(aut.images, aut.rank)
+    The result's images are reduced.  So that an Automorphism built by hand
+    from unreduced words gets its normal form too, the images are reduced
+    here once; _least_conjugate takes them as they are.  Logs a WARNING when
+    the plateau walk stops at PLATEAU_STATE_CAP."""
+    best, finished = _least_conjugate(tuple(map(reduce_word, aut.images)),
+                                      aut.rank)
     if not finished:
         log.warning("normalize_outer stopped at the plateau cap of %d "
                     "states (rank %d)", PLATEAU_STATE_CAP, aut.rank)
@@ -235,9 +252,10 @@ def simultaneously_conjugate(ws, vs):
 
 
 def _least_conjugate(images, rank):
-    """The lexicographically least of the conjugates of images with least
-    total length, and whether the walk finished (False when it stopped at
-    PLATEAU_STATE_CAP states, returning the least tuple seen so far).
+    """The lexicographically least of the conjugates of the reduced words
+    images with least total length, and whether the walk finished (False
+    when it stopped at PLATEAU_STATE_CAP states, returning the least tuple
+    seen so far).
 
     Total conjugate length is a sum of tree-distance functions of the
     conjugator, hence convex on the Cayley tree: the rose's vertex image
@@ -246,9 +264,9 @@ def _least_conjugate(images, rank):
     comes from the images' end letters; only the images conjugated by a
     letter keeping the least total are built.
     """
-    # conjugates of reduced words are reduced: only the input is reduced
-    # here, and the descent and the walk start from the reduced tuple
-    ws = [reduce_word(w) for w in images]
+    # conjugates of reduced words are reduced, so every tuple the descent
+    # and the walk reach is
+    ws = list(images)
     _descend(ws, (*range(1, len(ws) + 1), *range(-len(ws), 0)))
     ws = tuple(ws)
     letters = [s * l for l in range(1, rank + 1) for s in (1, -1)]
@@ -354,12 +372,12 @@ def word_growth_rate(aut, seeds=None, k_max=40):
     vectors under the transition matrix of the tightened rose map (same
     asymptotics, no exponential memory).
     """
-    f = tighten_map(rose_representative(aut))
+    f = rose_representative(aut)
     return _growth_rate(aut, f, check_train_track(f), seeds, k_max)
 
 
 def _growth_rate(aut, f, matrix_exact, seeds=None, k_max=40):
-    """word_growth_rate given aut's tightened rose map f and check_train_track(f)."""
+    """word_growth_rate given aut's rose map f and check_train_track(f)."""
     if k_max < 8:
         raise ValueError("k_max must be at least 8")
     if seeds is None:
@@ -518,12 +536,16 @@ def _nielsen_product(rank, length, below, positive):
             if j >= i:
                 j += 1
             eps = 1 if positive else (1 if below(2) else -1)
+            head = images[i]
             tail = images[j] if eps > 0 else invert_word(images[j])
-            images[i] = reduce_word(images[i] + tail)
-            if len(images[i]) > WORD_LENGTH_CAP:
+            # reduced words cancel only at the seam: the product's length is
+            # known before it is built
+            k = _cancellation(head, tail)
+            if len(head) + len(tail) - 2 * k > WORD_LENGTH_CAP:
                 raise CapacityError(
                     "random automorphism image exceeds %d letters after %d "
                     "of %d moves" % (WORD_LENGTH_CAP, step + 1, length))
+            images[i] = head[:len(head) - k] + tail[k:] if k else head + tail
             if not images[i]:
                 images[i] = (i + 1,)  # degenerate cancellation; reset petal
         elif kind == "swap":
@@ -535,7 +557,7 @@ def _nielsen_product(rank, length, below, positive):
         else:
             i = below(rank)
             images[i] = invert_word(images[i])
-    return make_automorphism(images, certify=False)
+    return Automorphism(rank, tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -545,37 +567,45 @@ def _nielsen_product(rank, length, below, positive):
 def fold_inverse(aut):
     """Controlled inverse through clean_factorize of the rose map.
 
-    Returns (inverse automorphism, factorization, stats).
+    Returns (inverse automorphism, factorization, stats), stats the
+    inverse_stats of the controlled inverse.
     """
-    return _fold_inverse_of(
-        clean_factorize(tighten_map(rose_representative(aut))))
+    fact = clean_factorize(rose_representative(aut))
+    g = controlled_inverse(fact)
+    return _inverse_of(g), fact, inverse_stats(fact, g)
 
 
-def _fold_inverse_of(fact):
-    """fact factors a tightened rose map, so its controlled inverse g is a
-    tightened self map of the same rose: g's edge images are the generator
-    images of the inverse, already certified by factorize."""
-    g, stats = controlled_inverse(fact)
-    return normalize_outer(Automorphism(len(g.edge_map), g.edge_map)), fact, stats
+def _inverse_of(g):
+    """The normal form of the automorphism whose rose map is g, the
+    controlled inverse of a rose map's factorization: g is a tightened self
+    map of the same rose, and its edge images are the generator images of
+    the inverse, already certified by factorize."""
+    return normalize_outer(Automorphism(len(g.edge_map), g.edge_map))
 
 
 @dataclass(frozen=True)
 class ExpansionPair:
     """lambda(phi) and mu = lambda(phi^-1) with what they were read from:
-    Gamma-hat of the tightened rose maps of phi and of its controlled
-    inverse.  A side whose map fails check_train_track reports an upper
-    bound, not the expansion factor."""
+    Gamma-hat of the rose maps of phi and of its controlled inverse.  A
+    side whose map fails check_train_track reports an upper bound, not the
+    expansion factor."""
 
     phi: Automorphism                  # normal form of the input
     inverse: Automorphism              # controlled inverse, normal form
-    rose_map: GraphMap                 # tightened rose map of phi
-    inverse_rose_map: GraphMap
+    rose_map: GraphMap                 # rose map of phi
+    inverse_rose_map: GraphMap         # rose map of inverse
     factorization: FoldFactorization   # of the rose map of phi
-    inverse_stats: InverseStats
+    controlled_map: GraphMap           # controlled_inverse(factorization)
     spectrum: ExpansionSpectrum        # Gamma-hat of phi
     inverse_spectrum: ExpansionSpectrum
     certified: bool
     inverse_certified: bool
+
+    @cached_property
+    def inverse_stats(self):
+        """The LC bookkeeping of the controlled inverse, computed when first
+        read: the lambda/mu values do not depend on it."""
+        return inverse_stats(self.factorization, self.controlled_map)
 
     @property
     def lam(self):
@@ -596,27 +626,30 @@ class ExpansionPair:
 def expansion_pairs(auts):
     """The ExpansionPair of each automorphism, or the FoldtrackError that
     stopped it.  Each stage runs over the whole list before the next starts:
-    (1) the normal form, the tightened rose map f, the controlled inverse
-    from the fold factorization of f and the inverse's tightened rose map;
+    (1) the normal form, its rose map f, the controlled inverse g from the
+    fold factorization of f, the inverse's normal form and its rose map;
     (2) Gamma-hat of all these rose maps in one gamma_hat_many batch; (3) the
-    train-track check on both rose maps.  An error stays with its own
+    train-track check on both rose maps.  The images of an Automorphism are
+    reduced, so its rose map is tight as built.  An error stays with its own
     automorphism."""
     results = [None] * len(auts)
-    staged = []  # (position, phi, f, inverse, factorization, stats, fi)
+    staged = []  # (position, phi, f, inverse, factorization, g, fi)
     maps = []    # f and fi of each staged automorphism, in turn
     for k, aut in enumerate(auts):
         try:
             phi = normalize_outer(aut)
-            f = tighten_map(rose_representative(phi))
-            inv, fact, stats = _fold_inverse_of(factorize(f))
-            fi = tighten_map(rose_representative(inv))
+            f = rose_representative(phi)
+            fact = factorize(f)
+            g = controlled_inverse(fact)
+            inv = _inverse_of(g)
+            fi = rose_representative(inv)
         except FoldtrackError as exc:
             results[k] = exc
             continue
-        staged.append((k, phi, f, inv, fact, stats, fi))
+        staged.append((k, phi, f, inv, fact, g, fi))
         maps += (f, fi)
     hats = gamma_hat_many(maps)
-    for (k, phi, f, inv, fact, stats, fi), hat, inv_hat in zip(
+    for (k, phi, f, inv, fact, g, fi), hat, inv_hat in zip(
             staged, hats[::2], hats[1::2]):
         error = next((h for h in (hat, inv_hat) if isinstance(h, FoldtrackError)),
                      None)
@@ -624,7 +657,7 @@ def expansion_pairs(auts):
             results[k] = error
             continue
         pair = results[k] = ExpansionPair(
-            phi, inv, f, fi, fact, stats, hat, inv_hat, check_train_track(f),
+            phi, inv, f, fi, fact, g, hat, inv_hat, check_train_track(f),
             check_train_track(fi))
         if log.isEnabledFor(logging.DEBUG):
             log.debug("expansion pair: lambda %s (certified %s, %d EG blocks), "

@@ -26,9 +26,9 @@ from .automorphisms import (
     rose_representative, trial_automorphisms,
 )
 from .errors import CapacityError, CertificationError, FoldtrackError, StructuralError
-from .folding import clean_factorize, controlled_inverse
+from .folding import clean_factorize, controlled_inverse, inverse_stats
 from .graph import graph_to_json, load_graph
-from .graph_map import map_from_json, map_to_json, tighten_map
+from .graph_map import map_from_json, map_to_json
 from .metric import _estimates
 from .spectra import gamma_hat, spectrum_report
 
@@ -71,7 +71,7 @@ def _emit_json(data, out=None):
 
 def cmd_spectrum(args):
     aut = parse_automorphism(args.automorphism)
-    f = tighten_map(rose_representative(normalize_outer(aut)))
+    f = rose_representative(normalize_outer(aut))
     report = spectrum_report(gamma_hat(f), certified=check_train_track(f))
     _emit_json(report, args.out)
     return EXIT_OK
@@ -100,7 +100,8 @@ def cmd_invert(args):
         with open(args.input) as fh:
             f = map_from_json(json.load(fh))
         fact = clean_factorize(f)
-        g, stats = controlled_inverse(fact)
+        g = controlled_inverse(fact)
+        stats = inverse_stats(fact, g)
         payload = {"inverse_map": map_to_json(g)}
     else:
         aut = parse_automorphism(args.input)

@@ -17,7 +17,8 @@ changes the ends and images of the directions it folds and nothing else.
 The records it leaves hold the fold spec; the quotient, the stage inverse,
 the folded graph with its transported marking and filtration, and the flags
 of that filtration are built when first read.  controlled_inverse composes
-the stage inverses edge by edge.
+the stage inverses edge by edge; inverse_stats reads their LC bookkeeping
+off the same replay of the graph moves (_stages), only when asked.
 """
 
 import logging
@@ -38,8 +39,9 @@ __all__ = [
     "apply_fold_move", "fold_move", "invert_fold",
     "invert_homeomorphism",
     "is_homeomorphism", "factorize", "clean_factorize", "controlled_inverse",
-    "folds_into_lower_strata", "certify_homotopy_equivalence",
-    "collapse_edges", "vertex_bound", "edge_bound",
+    "InverseStats", "inverse_stats", "folds_into_lower_strata",
+    "certify_homotopy_equivalence", "collapse_edges", "vertex_bound",
+    "edge_bound",
 ]
 
 log = logging.getLogger("foldtrack")
@@ -745,10 +747,10 @@ def clean_factorize(f):
     """factorize, then, if a greedy record is flagged, the search for an
     order in which every record has LC(M(q)) = 1.  The greedy records are
     kept when it finds none; clean_outcome says why."""
-    f = tighten_map(f)
     fact = factorize(f)
     if not any("case3-loop-at-v1" in r.spec.flags for r in fact.records):
         return replace(fact, clean_outcome="clean")
+    f = tighten_map(f)
     outcome, steps, found = _clean_factorize(f)
     if found is None:
         return replace(fact, clean_outcome=outcome, clean_steps=steps)
@@ -809,11 +811,25 @@ def _wrap(path, pre, post):
     dq.extend(post[k:])
 
 
-def controlled_inverse(fact):
-    """Homotopy inverse g = q_1 o ... o q_k o theta', tightened.
+def _stages(fact):
+    """(spec, (v0, v1, v2), cols, edges) of each fold of fact, in order,
+    from one replay of the graph moves on fact.source's edge ends: the fold
+    vertices, the stage inverse's columns that are not one edge carried to
+    itself (_inverse_columns) and the edge count of G*."""
+    nv, ends = fact.source.num_vertices, list(fact.source.edge_ends)
+    for record in fact.records:
+        spec = record.spec
+        vertices = _fold_vertices(ends, spec)
+        cols = _inverse_columns(ends, spec, vertices[1])
+        yield (spec, vertices, cols,
+               len(ends) + (spec.case == 2) - (spec.case == 3))
+        nv = _move_ends(nv, ends, spec, *vertices)
 
-    Returns (g, stats): stats is the LC bookkeeping against the
-    Edge_n^{k-1} * prod LC(M(q_i)) product bound.
+
+def controlled_inverse(fact):
+    """The homotopy inverse g = q_1 o ... o q_k o theta', tightened, of the
+    map fact factors: a map fact.target -> fact.source.  Its LC bookkeeping
+    is inverse_stats(fact, g), computed only where it is read.
 
     The composite Q_i = q_1 o ... o q_i is kept tightened, one reduced path
     of the first graph per edge of G_i.  A stage rewrites only the edges its
@@ -822,17 +838,9 @@ def controlled_inverse(fact):
     the stage-by-stage tightening of the literal composite.
     """
     g0 = fact.source
-    nv, ends = g0.num_vertices, list(g0.edge_ends)
     paths = [[deque((e,)), False] for e in g0.edge_ids]
-    verts = list(range(nv))
-    stage_lcs = []
-    for record in fact.records:
-        spec = record.spec
-        v0, v1, v2 = _fold_vertices(ends, spec)
-        cols = _inverse_columns(ends, spec, v1)
-        lc = max(map(_multiplicity, cols.values()), default=0)
-        stage_edges = len(ends) + (spec.case == 2) - (spec.case == 3)
-        stage_lcs.append(max(lc, 1) if stage_edges > len(cols) else lc)
+    verts = list(range(g0.num_vertices))
+    for spec, vertices, cols, _ in _stages(fact):
         m1 = abs(spec.d1)
         rewritten = []
         for e, path in cols.items():
@@ -854,23 +862,37 @@ def controlled_inverse(fact):
             del paths[m1 - 1]
         for e, new, _, _ in rewritten:
             paths[e - 1] = new
-        _pull_vertices(verts, spec, v0, v1, v2)
-        nv = _move_ends(nv, ends, spec, v0, v1, v2)
+        _pull_vertices(verts, spec, *vertices)
     theta_inv = fact.terminal_inverse
-    stage_lcs.append(max(map(_multiplicity, theta_inv.edge_map), default=0))
     emap = tuple(_words(paths, p) for p in theta_inv.edge_map)
     g = GraphMap(fact.target, g0,
                  tuple(verts[v] for v in theta_inv.vertex_map), emap)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("controlled inverse: %d stages (%d folds and the terminal "
+                  "homeomorphism), LC %d", fact.fold_count + 1,
+                  fact.fold_count, max(map(_multiplicity, emap), default=0))
+    return g
+
+
+def inverse_stats(fact, g):
+    """The LC bookkeeping of g = controlled_inverse(fact) against the
+    Edge_n^{k-1} * prod LC(M(q_i)) product bound, over the k = folds + 1
+    stages (the terminal homeomorphism's inverse last): LC(M(q_i)) per
+    stage, read off the stage inverse's columns, LC(M(g)), the log of the
+    bound with n = rank of fact.source, and whether LC(M(g)) is within it."""
+    stage_lcs = []
+    for _, _, cols, edges in _stages(fact):
+        lc = max(map(_multiplicity, cols.values()), default=0)
+        # an edge of G* with no column is carried to itself: multiplicity 1
+        stage_lcs.append(max(lc, 1) if edges > len(cols) else lc)
+    theta_inv = fact.terminal_inverse
+    stage_lcs.append(max(map(_multiplicity, theta_inv.edge_map), default=0))
     k = len(stage_lcs)
-    n = rank(g0)
-    log_bound = (k - 1) * _log(edge_bound(n)) + sum(map(_log, stage_lcs))
-    lc = max(map(_multiplicity, emap), default=0)
-    stats = InverseStats(fact.fold_count, lc, log_bound,
-                         bool(_log(lc) <= log_bound + 1e-9),
-                         tuple(stage_lcs))
-    log.debug("controlled inverse: %d stages (%d folds and the terminal "
-              "homeomorphism), LC %d", k, k - 1, lc)
-    return g, stats
+    log_bound = ((k - 1) * _log(edge_bound(rank(fact.source)))
+                 + sum(map(_log, stage_lcs)))
+    lc = max(map(_multiplicity, g.edge_map), default=0)
+    return InverseStats(fact.fold_count, lc, log_bound,
+                        bool(_log(lc) <= log_bound + 1e-9), tuple(stage_lcs))
 
 
 # ---------------------------------------------------------------------------

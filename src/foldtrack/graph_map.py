@@ -239,9 +239,10 @@ def transition_matrix(f):
 
 def transition_rows(f):
     """The entries of transition_matrix(f) as rows of Python ints, with its
-    row and column edge orders; no numpy."""
+    row and column edge orders; no numpy.  A map whose domain is its
+    codomain (a rose self map: one rose graph per rank) orders once."""
     row_edges = _edge_order(f.codomain)[0]
-    col_edges = _edge_order(f.domain)[0]
+    col_edges = row_edges if f.domain is f.codomain else _edge_order(f.domain)[0]
     return (_occurrences(f, row_edges, col_edges), tuple(row_edges),
             tuple(col_edges))
 

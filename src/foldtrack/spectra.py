@@ -311,11 +311,12 @@ def maximal_invariant_filtration(f):
     return blocks_edges, bs, rows
 
 
-def _gamma_many(maps):
-    """gamma of each self map, or the NumericError of its first block (by
-    level) that fails the PF bounds.  The EG candidates of all maps (the
-    irreducible blocks that are no permutation cycle) share one eigvals call
-    per block size; each keeps its own bound check."""
+def gamma_hat_many(maps):
+    """gamma_hat of each self map, in one batch, or the NumericError of its
+    first block (by level) that fails the PF bounds, so the other maps of the
+    batch keep their spectra.  The EG candidates of all maps (the irreducible
+    blocks that are no permutation cycle) share one eigvals call per block
+    size; each keeps its own bound check."""
     filtrations = [maximal_invariant_filtration(f) for f in maps]
     candidates = []  # (map position, level, block rows, block edges)
     for k, (blocks_edges, bs, rows) in enumerate(filtrations):
@@ -346,7 +347,8 @@ def _gamma_many(maps):
             continue
         found.sort(key=lambda e: (-e.value, e.stratum))
         filtration = tuple(tuple(sorted(edges)) for edges in blocks_edges)
-        spectra.append(ExpansionSpectrum(tuple(found), filtration))
+        spectra.append(ExpansionSpectrum(
+            tuple(e for e in found for _ in range(e.multiplicity)), filtration))
     return spectra
 
 
@@ -357,19 +359,18 @@ def _one(result):
     return result
 
 
+def _per_stratum(hat):
+    """The Gamma entries of a gamma_hat spectrum.  Its entries repeat each
+    Gamma value once per unit of multiplicity, consecutively, so Gamma is the
+    first entry of each stratum."""
+    return tuple(next(run) for _, run in
+                 groupby(hat.entries, key=lambda e: e.stratum))
+
+
 def gamma(f):
     """Spectrum of Perron-Frobenius values of EG strata, decreasing."""
-    return _one(_gamma_many([f])[0])
-
-
-def gamma_hat_many(maps):
-    """gamma_hat of each self map, in one batch: see _gamma_many.  A map with
-    a block that fails the PF bounds gets that NumericError in place of its
-    spectrum, so the other maps of the batch keep theirs."""
-    return [spec if isinstance(spec, NumericError) else ExpansionSpectrum(
-                tuple(e for e in spec.entries for _ in range(e.multiplicity)),
-                spec.filtration)
-            for spec in _gamma_many(maps)]
+    hat = gamma_hat(f)
+    return ExpansionSpectrum(_per_stratum(hat), hat.filtration)
 
 
 def gamma_hat(f):
@@ -395,12 +396,9 @@ def gamma_hat_by_power(f):
 
 
 def spectrum_report(hat, certified):
-    """JSON-ready report of a gamma_hat spectrum.  Its entries repeat each
-    Gamma value once per unit of multiplicity, consecutively, so Gamma is the
-    first entry of each stratum."""
+    """JSON-ready report of a gamma_hat spectrum."""
     return {
-        "gamma": [next(run).value for _, run in
-                  groupby(hat.entries, key=lambda e: e.stratum)],
+        "gamma": [e.value for e in _per_stratum(hat)],
         "gamma_hat": [
             {"lambda": e.value, "multiplicity": e.multiplicity,
              "block_edges": list(e.block_edges)}

@@ -12,7 +12,7 @@ from foldtrack.automorphisms import (
     Automorphism, _bounded_draw, _conjugate_by_letter, _letter_totals,
     _stream_words, check_train_track,
     compose_automorphisms, expansion_pair, expansion_pairs, expansion_report,
-    fold_inverse, format_automorphism, is_inner, normalize_outer,
+    fold_inverse, format_automorphism, format_word, is_inner, normalize_outer,
     parse_automorphism, power, random_automorphism, read_automorphism,
     rose_representative, simultaneously_conjugate, trial_automorphisms,
     trial_stream, word_growth_rate,
@@ -91,7 +91,7 @@ def test_read_automorphism_case1_pipeline(rose2):
     from foldtrack.folding import controlled_inverse, factorize
     from foldtrack.graph_map import make_graph_map
     f = make_graph_map(rose2, rose2, (0,), [(1,), (1, 2)])
-    g, _ = controlled_inverse(factorize(f))
+    g = controlled_inverse(factorize(f))
     assert format_automorphism(read_automorphism(g)) == "a->a, b->a^-1 b"
 
 
@@ -538,3 +538,89 @@ def test_power_identity_at_r3_trial_24(experiment_draws):
         else:
             assert squared is not None
             assert math.isclose(squared, value ** 2, rel_tol=1e-9)
+
+
+def _reduced_images(aut, rank):
+    """aut has `rank` images, each a reduced word in the letters +-1..rank."""
+    return aut.rank == rank == len(aut.images) and all(
+        all(1 <= abs(a) <= rank for a in w)
+        and all(a != -b for a, b in zip(w, w[1:])) for w in aut.images)
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_every_producer_keeps_images_reduced(rank):
+    """The images of an Automorphism are reduced words: the rose map, the
+    factorization and the normal form of the lambda/mu path rely on it and
+    reduce nothing again.  Every producer is checked on seeded samples."""
+    rng = seeded_rng(20, rank)
+    auts = [random_automorphism(rank, length, rng, positive)
+            for length in (0, 1, 6, 12) for positive in (False, True)]
+    auts += trial_automorphisms(rank, 10, 7, range(8))
+    auts += trial_automorphisms(rank, 10, 7, range(4), positive=True)
+    produced = list(auts)
+    for aut in auts:
+        # unreduced text: a cancelling pair of letters inside each image
+        text = ", ".join(
+            "%s->%s" % (chr(ord("a") + i),
+                        format_word(w[:1] + (-i - 1, i + 1) + w[1:]))
+            for i, w in enumerate(aut.images))
+        parsed = parse_automorphism(text)
+        assert parsed == aut
+        produced += [parsed, normalize_outer(aut), power(aut, 2),
+                     compose_automorphisms(aut, auts[0]),
+                     fold_inverse(aut)[0],
+                     read_automorphism(rose_representative(aut))]
+    for pair in expansion_pairs(auts):
+        produced += [pair.phi, pair.inverse]
+    for aut in produced:
+        assert _reduced_images(aut, rank), aut
+
+
+def test_lambda_mu_path_reads_no_lc_bound(monkeypatch, tmp_path):
+    """The controlled inverse's LC bookkeeping is computed only where it is
+    read: experiment and expansion_pairs never call inverse_stats."""
+    from foldtrack import automorphisms, cli, folding
+
+    def no_stats(fact, g):
+        raise AssertionError("inverse_stats called on the lambda/mu path")
+
+    out = tmp_path / "plain.tsv"
+    argv = ["experiment", "--rank", "3", "--length", "10", "--trials", "20",
+            "--seed", "1", "--out"]
+    assert cli.main(argv + [str(out)]) == 0
+    for module in (automorphisms, folding):
+        monkeypatch.setattr(module, "inverse_stats", no_stats)
+    patched = tmp_path / "patched.tsv"
+    assert cli.main(argv + [str(patched)]) == 0
+    assert patched.read_text() == out.read_text()
+    pairs = expansion_pairs(trial_automorphisms(4, 30, 1, range(10)))
+    assert all(isinstance(p, automorphisms.ExpansionPair) for p in pairs)
+
+
+@pytest.mark.parametrize("text, folds, lc, stage_lcs, log_bound", [
+    ("a->ab, b->a", 1, 1, (1, 1), 2.5649493574615367),
+    ("a->ac, b->a, c->b", 1, 1, (1, 1), 3.258096538021482),
+    # sigma_1^-1 sigma_2
+    ("a->c, b->c^-1 b^-1 abc, c->b", 4, 2, (1, 1, 1, 1, 1),
+     13.032386152085929),
+])
+def test_inverse_stats_where_read(tmp_path, text, folds, lc, stage_lcs,
+                                  log_bound):
+    """The LC bookkeeping that ratio and invert report, as it was computed
+    with the controlled inverse on every call: the pair's, fold_inverse's
+    and the CLI's JSON agree."""
+    import json
+
+    from foldtrack import cli
+    aut = parse_automorphism(text)
+    for stats in (expansion_pair(aut).inverse_stats, fold_inverse(aut)[2]):
+        assert (stats.fold_count, stats.lc, stats.stage_lcs,
+                stats.log_bound, stats.within_bound) == (
+                    folds, lc, stage_lcs, log_bound, True)
+    ratio, invert = tmp_path / "ratio.json", tmp_path / "invert.json"
+    assert cli.main(["ratio", text, "--out", str(ratio)]) == 0
+    assert cli.main(["invert", text, "--out", str(invert)]) == 0
+    ratio, invert = json.loads(ratio.read_text()), json.loads(invert.read_text())
+    assert (ratio["inverse_lc"], ratio["lc_product_bound_ok"]) == (lc, True)
+    assert (invert["inverse_lc"], invert["stage_lcs"],
+            invert["lc_product_bound_ok"]) == (lc, list(stage_lcs), True)

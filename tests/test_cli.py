@@ -329,6 +329,9 @@ def _same_number(got, want):
                                   "--trials", "50", "--seed", "1"]),
     ("experiment_r4_L30_s2.tsv", ["--rank", "4", "--length", "30",
                                   "--trials", "10", "--seed", "2"]),
+    # the rank-6 ensemble that CI runs on the experiment path
+    ("experiment_r6_L60_s1.tsv", ["--rank", "6", "--length", "60",
+                                  "--trials", "50", "--seed", "1"]),
 ])
 def test_experiment_matches_golden(tmp_path, name, argv):
     """trial, aut, folds and certified as recorded; lambda, mu, ratio and

@@ -24,7 +24,7 @@ from foldtrack.errors import CertificationError, StructuralError
 from foldtrack.folding import (
     InverseStats, _clean_factorize, _fold_greedily, _FoldState, apply_fold,
     apply_fold_move, certify_homotopy_equivalence, controlled_inverse,
-    edge_bound, factorize, find_fold,
+    edge_bound, factorize, find_fold, inverse_stats,
 )
 from foldtrack.graph import Graph, rank, spanning_tree, tree_path
 from foldtrack.graph_map import (
@@ -374,7 +374,8 @@ def assert_factorization_matches(f):
     assert_records_match(fact.records, refs)
     assert fact.theta == theta
     assert fact.theta_inverse == theta_inv
-    g, stats = controlled_inverse(fact)
+    g = controlled_inverse(fact)
+    stats = inverse_stats(fact, g)
     ref_g, ref_stats = ref_controlled_inverse(fact.source, refs, theta_inv)
     assert g == ref_g
     assert stats == ref_stats

@@ -12,7 +12,7 @@ from foldtrack.errors import CertificationError, StructuralError
 from foldtrack.folding import (
     FoldSpec, apply_fold, apply_fold_move, certify_homotopy_equivalence,
     collapse_edges, controlled_inverse, edge_bound, factorize, find_fold,
-    folds_into_lower_strata, invert_fold, invert_homeomorphism,
+    folds_into_lower_strata, inverse_stats, invert_fold, invert_homeomorphism,
     is_homeomorphism,
 )
 from foldtrack.graph import (
@@ -110,7 +110,7 @@ def test_factorize_single_fold(rose2):
     f = make_graph_map(rose2, rose2, (0,), [(1,), (1, 2)])
     fact = factorize(f)
     assert fact.fold_count == 1
-    g, _ = controlled_inverse(fact)
+    g = controlled_inverse(fact)
     assert tighten_map(g).edge_map == ((1,), (-1, 2))
 
 
@@ -124,15 +124,17 @@ def test_factorize_fibonacci_recomposition(fibonacci):
 
 
 def test_controlled_inverse_examples(rose2, fibonacci, parageometric):
-    g, stats = controlled_inverse(factorize(fibonacci))
+    fact = factorize(fibonacci)
+    g = controlled_inverse(fact)
+    stats = inverse_stats(fact, g)
     assert tighten_map(g).edge_map == ((2,), (-2, 1))
     assert stats.lc >= 1 and stats.within_bound
     ident = identity_map(rose2)
-    gi, _ = controlled_inverse(factorize(ident))
+    gi = controlled_inverse(factorize(ident))
     assert tighten_map(gi).edge_map == ident.edge_map
     from foldtrack.automorphisms import rose_representative
     pg = rose_representative(parageometric)
-    gp, _ = controlled_inverse(factorize(pg))
+    gp = controlled_inverse(factorize(pg))
     assert tighten_map(gp).edge_map == ((2,), (3,), (-2, 1))
 
 
@@ -228,7 +230,7 @@ def test_lc_product_bound_on_random_inverses():
     for _ in range(20):
         aut = random_automorphism(3, 8, rng)
         fact = factorize(tighten_map(rose_representative(aut)))
-        _, stats = controlled_inverse(fact)
+        stats = inverse_stats(fact, controlled_inverse(fact))
         assert stats.within_bound
 
 
@@ -304,7 +306,7 @@ def test_forced_loop_merge_has_lc_two():
         assert value <= 2
         assert (value == 1) == ("case3-loop-at-v1" not in record.flags)
     # the controlled inverse is still correct
-    g, _ = controlled_inverse(fact)
+    g = controlled_inverse(fact)
     assert outer_trivial(tighten_map(compose(g, f)))
 
 
@@ -342,7 +344,7 @@ def test_clean_factorize_reports_search_outcome():
     fact = clean_factorize(f)
     assert fact.clean_outcome == "clean" and fact.clean_steps > 0
     assert flagged(fact) == 0
-    g, _ = controlled_inverse(fact)
+    g = controlled_inverse(fact)
     assert outer_trivial(tighten_map(compose(g, f)))
     assert _clean_factorize(f, budget=1) == ("budget", 1, None)
     # no clean order: the greedy records are kept
@@ -371,7 +373,7 @@ def test_factorize_roundtrip_random(seed, n):
         counts.append(edgelet_count(cur))
     assert all(a > b for a, b in zip(counts, counts[1:]))
     assert fact.fold_count <= edgelet_count(f)
-    g, _ = controlled_inverse(fact)
+    g = controlled_inverse(fact)
     assert outer_trivial(tighten_map(compose(g, f)))
     assert outer_trivial(tighten_map(compose(f, g)))
 
@@ -379,14 +381,15 @@ def test_factorize_roundtrip_random(seed, n):
 _TWIST_FOLDS = """
 import sys, time
 from foldtrack.automorphisms import rose_graph
-from foldtrack.folding import controlled_inverse, factorize
+from foldtrack.folding import controlled_inverse, factorize, inverse_stats
 from foldtrack.graph_map import GraphMap
 m = int(sys.argv[1])
 rose = rose_graph(2)
 f = GraphMap(rose, rose, (0,), ((1,), (2,) + (1,) * m))
 t0 = time.perf_counter()
 fact = factorize(f)
-g, stats = controlled_inverse(fact)
+g = controlled_inverse(fact)
+inverse_stats(fact, g)
 elapsed = time.perf_counter() - t0
 assert fact.fold_count == m and g.edge_map == ((1,), (2,) + (-1,) * m)
 print(elapsed)
@@ -395,10 +398,11 @@ print(elapsed)
 
 def test_twist_folds_in_near_linear_time():
     """x2 -> x2 x1^m folds one letter per fold, and one inverse image grows
-    by a letter per stage.  At m = 10^5, factorize plus controlled_inverse
-    must fit the acceptance-6 budget of 5 s; a fold or a stage that copies
-    the long image makes this quadratic (minutes).  The child process is
-    cut at 60 s, so a regression fails instead of hanging."""
+    by a letter per stage.  At m = 10^5, factorize, controlled_inverse and
+    its inverse_stats must fit the acceptance-6 budget of 5 s; a fold or a
+    stage that copies the long image makes this quadratic (minutes).  The
+    child process is cut at 60 s, so a regression fails instead of
+    hanging."""
     proc = subprocess.run([sys.executable, "-c", _TWIST_FOLDS, "100000"],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -485,5 +489,5 @@ def test_lambda_mu_and_invert_paths_build_no_stage_maps(monkeypatch,
         parse_automorphism("a->a, b->b^-1 db, c->ddb, d->c^-1")))
     fact = folding.clean_factorize(f)
     assert fact.clean_outcome == "none-exists"
-    _, stats = controlled_inverse(fact)
+    stats = folding.inverse_stats(fact, controlled_inverse(fact))
     assert stats.lc == 2
