@@ -242,7 +242,8 @@ def transition_rows(f):
     row and column edge orders; no numpy.  A map whose domain is its
     codomain (a rose self map: one rose graph per rank) orders once."""
     row_edges = _edge_order(f.codomain)[0]
-    col_edges = row_edges if f.domain is f.codomain else _edge_order(f.domain)[0]
+    col_edges = (row_edges if f.domain is f.codomain
+                 else _edge_order(f.domain)[0])
     return (_occurrences(f, row_edges, col_edges), tuple(row_edges),
             tuple(col_edges))
 

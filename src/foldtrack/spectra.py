@@ -347,8 +347,8 @@ def gamma_hat_many(maps):
             continue
         found.sort(key=lambda e: (-e.value, e.stratum))
         filtration = tuple(tuple(sorted(edges)) for edges in blocks_edges)
-        spectra.append(ExpansionSpectrum(
-            tuple(e for e in found for _ in range(e.multiplicity)), filtration))
+        hat = tuple(e for e in found for _ in range(e.multiplicity))
+        spectra.append(ExpansionSpectrum(hat, filtration))
     return spectra
 
 

@@ -620,7 +620,8 @@ def test_inverse_stats_where_read(tmp_path, text, folds, lc, stage_lcs,
     ratio, invert = tmp_path / "ratio.json", tmp_path / "invert.json"
     assert cli.main(["ratio", text, "--out", str(ratio)]) == 0
     assert cli.main(["invert", text, "--out", str(invert)]) == 0
-    ratio, invert = json.loads(ratio.read_text()), json.loads(invert.read_text())
+    ratio = json.loads(ratio.read_text())
+    invert = json.loads(invert.read_text())
     assert (ratio["inverse_lc"], ratio["lc_product_bound_ok"]) == (lc, True)
     assert (invert["inverse_lc"], invert["stage_lcs"],
             invert["lc_product_bound_ok"]) == (lc, list(stage_lcs), True)
