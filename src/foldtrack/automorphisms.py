@@ -217,12 +217,10 @@ def _letter_totals(ws, letters):
 def normalize_outer(aut):
     """Canonical outer representative: conjugate all images by the word
     minimizing total image length, ties by lexicographically least tuple.
-    The result's images are reduced.  So that an Automorphism built by hand
-    from unreduced words gets its normal form too, the images are reduced
-    here once; _least_conjugate takes them as they are.  Logs a WARNING when
-    the plateau walk stops at PLATEAU_STATE_CAP."""
-    best, finished = _least_conjugate(tuple(map(reduce_word, aut.images)),
-                                      aut.rank)
+    The images are reduced, as every Automorphism's are, and so are the
+    result's.  Logs a WARNING when the plateau walk stops at
+    PLATEAU_STATE_CAP."""
+    best, finished = _least_conjugate(aut.images, aut.rank)
     if not finished:
         log.warning("normalize_outer stopped at the plateau cap of %d "
                     "states (rank %d)", PLATEAU_STATE_CAP, aut.rank)

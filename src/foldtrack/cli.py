@@ -56,13 +56,19 @@ def _fmt(x):
     return str(x)
 
 
-def _emit_json(data, out=None):
-    text = json.dumps(data, indent=1, sort_keys=True)
+def _emit(text, out=None):
+    """Write text to the --out file, as UTF-8, or to stdout.  A path
+    argument that the locale could not decode is written back as the bytes
+    it was given as (Python keeps them as surrogate escapes)."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        with open(out, "w", encoding="utf-8", errors="surrogateescape") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+
+
+def _emit_json(data, out=None):
+    _emit(json.dumps(data, indent=1, sort_keys=True) + "\n", out)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +103,7 @@ def _factorization_dump(fact):
 
 def cmd_invert(args):
     if os.path.exists(args.input):
-        with open(args.input) as fh:
+        with open(args.input, encoding="utf-8") as fh:
             f = map_from_json(json.load(fh))
         fact = clean_factorize(f)
         g = controlled_inverse(fact)
@@ -194,12 +200,7 @@ def cmd_experiment(args):
         if ratio is not None and (max_ratio is None or ratio > max_ratio):
             max_ratio = ratio
     lines.append("# max_ratio\t%s" % _fmt(max_ratio))
-    text_out = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text_out)
-    else:
-        sys.stdout.write(text_out)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -253,12 +254,7 @@ def cmd_metric(args):
             args.graphs[i], args.graphs[j], _fmt(est.value),
             str(est.total_edge_length), est.method,
         ]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

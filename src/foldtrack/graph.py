@@ -11,10 +11,10 @@ Conventions:
 
 import json
 from dataclasses import dataclass, replace
-from operator import countOf
+from operator import countOf, neg
 
 from .errors import StructuralError
-from .words import _check_letters, invert_word, reduce_word
+from .words import _check_letters, _letters_outside, invert_word, reduce_word
 
 __all__ = [
     "Graph", "make_graph", "rank", "components", "tighten", "reverse_path",
@@ -27,12 +27,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable combinatorial graph, optionally marked and filtered."""
+    """Immutable combinatorial graph, optionally marked and filtered.
+
+    The marking paths are reduced: make_graph reduces them, and the graphs
+    built internally (folds, subdivisions, roses) carry reduced paths."""
 
     num_vertices: int
     edge_ends: tuple  # edge_ends[e-1] = (init, term) for edge id e
     basepoint: int = None
-    marking: tuple = None     # one closed edge path per rose petal
+    marking: tuple = None     # one reduced closed edge path per petal
     filtration: tuple = None  # cumulative frozensets of edge ids
     weak_filtration: bool = False
 
@@ -80,13 +83,22 @@ class Graph:
 def make_graph(num_vertices, edge_ends, basepoint=None, marking=None,
                filtration=None, weak_filtration=False, marked=False):
     """Validating constructor.  With marked=True additionally checks
-    connectivity, rank agreement with the marking, and closed marking paths."""
+    connectivity, rank agreement with the marking, and closed marking paths.
+    Each marking path is stored reduced; one that reduces to the empty
+    word is refused as trivial."""
+    return _make_graph(num_vertices, edge_ends, basepoint, marking,
+                       filtration, weak_filtration, marked, False)
+
+
+def _make_graph(num_vertices, edge_ends, basepoint, marking, filtration,
+                weak_filtration, marked, ints):
+    """make_graph; with `ints` no marking letter is a number other than an
+    int (see _check_letters)."""
     edge_ends = tuple((int(u), int(v)) for u, v in edge_ends)
     for u, v in edge_ends:
         if not (0 <= u < num_vertices and 0 <= v < num_vertices):
             raise StructuralError("edge endpoint out of range")
-    g = Graph(num_vertices, edge_ends, basepoint,
-              tuple(tuple(p) for p in marking) if marking is not None else None,
+    g = Graph(num_vertices, edge_ends, basepoint, None,
               tuple(frozenset(l) for l in filtration) if filtration else None,
               weak_filtration)
     if g.filtration is not None:
@@ -96,18 +108,31 @@ def make_graph(num_vertices, edge_ends, basepoint=None, marking=None,
             raise StructuralError("marked graph needs a basepoint")
         if len(components(g)) != 1:
             raise StructuralError("marked graph must be connected")
-        if g.marking is not None:
-            if len(g.marking) != rank(g):
+        if marking is not None:
+            marking = [tuple(p) for p in marking]
+            if len(marking) != rank(g):
                 raise StructuralError(
                     "marking has %d petals but graph has rank %d"
-                    % (len(g.marking), rank(g)))
-            for p in g.marking:
-                if not p:
-                    raise StructuralError("trivial marking path")
-                u, v = path_endpoints(g, p)
-                if u != g.basepoint or v != g.basepoint:
-                    raise StructuralError("marking path not closed at basepoint")
+                    % (len(marking), rank(g)))
+            g = replace(g, marking=tuple(
+                [_marking_path(g, p, ints) for p in marking]))
     return g
+
+
+def _marking_path(g, p, ints):
+    """The marking path p of g, checked and reduced.  A path whose set of
+    letters holds no letter together with its inverse has no cancelling
+    pair, so only a path whose set holds some a and -a, or whose letters do
+    not hash, is reduced; a reduced tuple is returned as it is."""
+    if p:
+        letters = _check_letters(p, g.num_edges, ints)
+        if _endpoints(g, p) != (g.basepoint, g.basepoint):
+            raise StructuralError("marking path not closed at basepoint")
+        if letters is None or not letters.isdisjoint(map(neg, letters)):
+            p = reduce_word(p)
+    if not p:
+        raise StructuralError("trivial marking path")
+    return p
 
 
 def rank(g):
@@ -157,6 +182,11 @@ def path_endpoints(g, path):
     if not path:
         raise StructuralError("empty path has no endpoints")
     _check_letters(path, g.num_edges)
+    return _endpoints(g, path)
+
+
+def _endpoints(g, path):
+    """path_endpoints of a nonempty path whose letters are checked."""
     if g.num_vertices == 1:
         return 0, 0
     inits = [None] * (2 * g.num_edges + 1)  # indexed by signed edge id
@@ -437,24 +467,34 @@ def _all_ints(seq):
 def graph_from_json(data):
     """Decode and validate a graph; malformed input raises StructuralError.
 
-    Marking letters are signed JSON edge ids.  When the ids are the ints
-    1..E, a path of int letters is the graph's path, and make_graph checks
-    it; other ids, and letters of other types (true, 2.0), are renumbered
-    to ints through a table keyed by unsigned id."""
+    Vertex ids and edge ids must be distinct.  Marking letters are signed
+    JSON edge ids.  When the ids are the ints 1..E, a path of int letters is
+    the graph's path, and make_graph checks it; other ids, and letters of
+    other types (true, 2.0), are renumbered to ints through a table keyed by
+    unsigned id."""
+    return _graph_from_json(data, False)
+
+
+def _graph_from_json(data, ints):
+    """graph_from_json; with `ints` every number in data is an int, so the
+    marking letters need no type pass."""
     try:
         vs = list(data["vertices"])
         vmap = {v: i for i, v in enumerate(vs)}
+        if len(vmap) != len(vs):
+            raise StructuralError("duplicate vertex id in graph JSON")
         edges = sorted(data["edges"], key=lambda d: d["id"])
         ids = [d["id"] for d in edges]
         emap = {e: i for i, e in enumerate(ids, start=1)}
+        if len(emap) != len(ids):
+            raise StructuralError("duplicate edge id in graph JSON")
         ends = [(vmap[d["from"]], vmap[d["to"]]) for d in edges]
         marking = data.get("marking")
         if marking is not None:
             same = ids == list(range(1, len(ids) + 1)) and _all_ints(ids)
             paths = [tuple(p) for p in marking]
-            marking = [p if same and _all_ints(p) else
-                       tuple([emap[a] if a > 0 else -emap[-a] for a in p])
-                       for p in paths]
+            marking = [p if same and (ints or _all_ints(p)) else
+                       _renumbered(p, emap) for p in paths]
         filtration = [frozenset(emap[e] for e in lev)
                       for lev in data.get("filtration") or ()]
         base = data.get("basepoint")
@@ -462,17 +502,41 @@ def graph_from_json(data):
     except (KeyError, TypeError) as exc:
         raise StructuralError("malformed graph JSON: %s: %s"
                               % (type(exc).__name__, exc)) from None
-    return make_graph(len(vs), ends, basepoint=base, marking=marking,
-                      filtration=filtration or None,
-                      weak_filtration=bool(data.get("weak_filtration", False)))
+    # the letters are ints, proven or renumbered, or no numbers at all, so
+    # make_graph skips the letter check's sum
+    return _make_graph(len(vs), ends, base, marking, filtration or None,
+                       bool(data.get("weak_filtration", False)), False, True)
+
+
+def _renumbered(path, emap):
+    """A path of signed JSON edge ids as a path of the graph's edge ids."""
+    try:
+        return tuple([emap[a] if a > 0 else -emap[-a] for a in path])
+    except (KeyError, TypeError):
+        raise _letters_outside(len(emap)) from None
 
 
 def load_graph(path):
-    with open(path) as fh:
-        return graph_from_json(json.load(fh))
+    """graph_from_json of a UTF-8 graph JSON file.
+
+    The decoder notes each number that is not an int (a float, NaN or an
+    infinity).  When it meets none and the text holds neither true nor
+    false, every number in the file is an int, and the marking letters are
+    not read again for their types."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    other = []
+
+    def noted(s):
+        other.append(s)
+        return float(s)
+
+    data = json.loads(text, parse_float=noted, parse_constant=noted)
+    ints = not other and "true" not in text and "false" not in text
+    return _graph_from_json(data, ints)
 
 
 def dump_graph(g, path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(graph_to_json(g), fh, indent=1, sort_keys=True)
         fh.write("\n")

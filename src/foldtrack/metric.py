@@ -12,9 +12,7 @@ from functools import cached_property
 
 from .graph import _pi1_word, make_graph, pi1_generators, rank, spanning_tree
 from .graph_map import GraphMap, edgelet_count, map_length
-from .words import (
-    _descend, _invert_reduced, _reduce_by_letter_set, _substitute_seams,
-)
+from .words import _descend, _invert_reduced, _substitute_seams
 
 __all__ = ["MetricEstimate", "difference_map", "estimate_d",
            "quasi_metric_audit", "twist_family", "slide_normalize"]
@@ -53,20 +51,12 @@ class _Marking:
         return pi1_generators(self.graph, self.tree)
 
     @cached_property
-    def paths(self):
-        """The marking paths, reduced: the realization of the marking
-        basis in this graph as a codomain.  A long path whose letter set
-        holds no inverse pair, as every twist marking's does, is reduced
-        without a scan for a cancelling pair."""
-        return [_reduce_by_letter_set(p) for p in self.graph.marking]
-
-    @cached_property
     def words(self):
         """The pi_1 words of the marking paths.  With an empty tree, as on
-        a rose, they are the reduced paths."""
-        if not self.tree:
-            return self.paths
+        a rose, they are the paths themselves, which are reduced."""
         g = self.graph
+        if not self.tree:
+            return g.marking
         return [_pi1_word(g, p, self.tree, self.gens) for p in g.marking]
 
     @cached_property
@@ -82,7 +72,8 @@ def _difference_map(a, b):
         raise ValueError("both graphs must be marked")
     if rank(g) != rank(h):
         raise ValueError("rank mismatch: %d vs %d" % (rank(g), rank(h)))
-    images = _substitute_seams(a.inverse, b.paths)
+    # the marking paths realize the marking basis in the codomain
+    images = _substitute_seams(a.inverse, h.marking)
     vmap = tuple(h.basepoint for _ in range(g.num_vertices))
     gen_index = {e: i for i, e in enumerate(a.gens)}
     emap = [() if e in a.tree else images[gen_index[e]] for e in g.edge_ids]

@@ -24,25 +24,38 @@ WORD_LENGTH_CAP = 50_000_000
 _SHORT_WORD = 64
 
 
-def _check_letters(word, n):
+def _check_letters(word, n, ints=False):
     """Raise StructuralError unless every letter of a nonempty word is an
     integer in +-1..+-n, so that the letters can index lists of length
-    2n + 1.  One pass over the word and none over a table: the sum, which
-    is an integer only when every letter is, then the least and greatest
-    letters and a search for 0 in the set of letters, which a marking word
-    holds only a few of.  Integer-like letters that do not hash (0-d numpy
-    arrays) are read in the word itself."""
+    2n + 1; return the set of letters, or None when they do not hash.
+
+    One pass over the word for the sum, which is an integer only when every
+    letter is, one for the set of letters, and none over a table: then the
+    least and greatest letters and a search for 0 in the set, which a
+    marking word holds only a few of.  Integer-like letters that do not
+    hash (0-d numpy arrays) are read in the word itself.  With `ints` the
+    caller knows that no letter is a number other than an int, and the sum
+    is skipped: a letter that is no number (a str, None, a list) fails the
+    comparisons with the bounds."""
     try:
-        index(sum(word))
+        if not ints:
+            index(sum(word))
         try:
             letters = set(word)
         except TypeError:
-            letters = word
-        ok = -n <= min(letters) and max(letters) <= n and 0 not in letters
+            letters = None
+        seen = word if letters is None else letters
+        ok = -n <= min(seen) and max(seen) <= n and 0 not in seen
     except TypeError:
         ok = False
     if not ok:
-        raise StructuralError("word names a letter outside +-1..+-%d" % n)
+        raise _letters_outside(n)
+    return letters
+
+
+def _letters_outside(n):
+    """The error for a word that names a letter outside +-1..+-n."""
+    return StructuralError("word names a letter outside +-1..+-%d" % n)
 
 
 def reduce_word(letters):
@@ -63,23 +76,6 @@ def reduce_word(letters):
         else:
             out.append(a)
     return tuple(out)
-
-
-def _reduce_by_letter_set(letters):
-    """reduce_word for words that are long and most often reduced, such as
-    marking paths.  A word none of whose letters has its inverse in the
-    word has no cancelling pair, and the set of a long word's letters costs
-    about a third of reduce_word's scan for one; a word whose set holds
-    some a and -a, or whose letters do not hash (0-d numpy arrays), is
-    reduced by reduce_word."""
-    if len(letters) > _SHORT_WORD:
-        try:
-            seen = set(letters)
-        except TypeError:
-            return reduce_word(letters)
-        if seen.isdisjoint(map(neg, seen)):
-            return tuple(letters)  # a tuple is returned as it is
-    return reduce_word(letters)
 
 
 def invert_word(w):

@@ -427,6 +427,57 @@ def test_metric_inverts_each_marking_once(monkeypatch, capsys, tmp_path):
     assert err == ""
 
 
+def test_metric_reads_each_twist_letter_without_a_type_pass(monkeypatch,
+                                                           tmp_path):
+    """`metric` on two twist files, as the benchmark writes them: the
+    decoder proves every letter an int, and each path's letter set proves
+    it reduced, so no marking path goes through _all_ints or
+    reduce_word."""
+    from foldtrack import cli, graph, words
+    markings = ([[1], [2]], [[1], [2] + [-1] * 100])
+    paths = []
+    for i, marking in enumerate(markings):
+        paths.append(str(tmp_path / ("g%d.json" % i)))
+        Path(paths[-1]).write_text(json.dumps({
+            "rank": 2, "vertices": [0], "basepoint": 0,
+            "edges": [{"id": e, "from": 0, "to": 0} for e in (1, 2)],
+            "marking": marking}))
+    read = []
+    for module, name in ((graph, "_all_ints"), (graph, "reduce_word"),
+                         (words, "reduce_word")):
+        def counted(seq, _f=getattr(module, name)):
+            read.append(tuple(seq))
+            return _f(seq)
+        monkeypatch.setattr(module, name, counted)
+    assert cli.main(["metric", *paths, "--out", str(tmp_path / "d.tsv")]) == 0
+    marking_paths = {tuple(p) for marking in markings for p in marking}
+    assert marking_paths.isdisjoint(read)
+
+
+def test_metric_reads_and_writes_utf8_in_the_c_locale(tmp_path):
+    """With the C locale, locale coercion and UTF-8 mode off, the locale's
+    encoding is ASCII: graph files are still read as UTF-8, and --out
+    holds the non-ASCII path as it was given."""
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    base = os.fsencode(tmp_path)
+    g0, gm, out = base + b"/g0.json", base + "/gé.json".encode(), \
+        base + b"/out.tsv"
+    for path, marking in ((g0, [[1], [2]]), (gm, [[1], [2, 1, 1]])):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"rank": 2, "vertices": ["é"], "basepoint": "é",
+                       "edges": [{"id": e, "from": "é", "to": "é"}
+                                 for e in (1, 2)],
+                       "marking": marking}, fh, ensure_ascii=False)
+    proc = subprocess.run([sys.executable, "-m", "foldtrack", "metric", g0,
+                           gm, "--out", out], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    with open(out, "rb") as fh:
+        rows = [row.split(b"\t") for row in fh.read().splitlines()]
+    assert [row[:2] for row in rows[1:]] == [[g0, gm], [gm, g0]]
+    assert rows[1][3] == b"4"
+
+
 def test_metric_on_markings_that_are_no_basis(capsys, tmp_path):
     """A marking that is not a basis is inverted only when a pair reads
     it: one such graph has no pair, two such graphs are refused."""

@@ -16,11 +16,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from foldtrack.automorphisms import (
-    Automorphism, normalize_outer, random_automorphism, rose_graph,
+    Automorphism, make_automorphism, normalize_outer, random_automorphism,
+    rose_graph,
 )
 from foldtrack.errors import StructuralError
 from foldtrack.graph import (
-    graph_from_json, graph_to_json, make_graph, path_endpoints,
+    graph_from_json, graph_to_json, load_graph, make_graph, path_endpoints,
     pi1_generators, pi1_word, spanning_tree,
 )
 from foldtrack.graph_map import GraphMap, edgelet_count, map_length, subdivide
@@ -28,7 +29,7 @@ from foldtrack.metric import difference_map, estimate_d, slide_normalize
 from foldtrack import words
 from foldtrack.words import (
     _SHORT_WORD, _apply_move, _cancellation, _check_letters, _invert_reduced,
-    _reduce_by_letter_set, _substitute_seams, _suffix_repeats, cyclic_reduce,
+    _substitute_seams, _suffix_repeats, cyclic_reduce,
     invert_automorphism_words, invert_word, max_common_prefix, nielsen_reduce,
     reduce_word, substitute, substitute_reduced,
 )
@@ -425,14 +426,25 @@ def long_paths(draw):
     return w
 
 
+def stored_marking_path(w):
+    """The first marking path make_graph stores for the rank-3 rose marked
+    by w and the petals x_2, x_3."""
+    return make_graph(1, [(0, 0)] * 3, basepoint=0,
+                      marking=[w, (2,), (3,)]).marking[0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(long_paths())
 def test_letter_set_reduction_matches_reference(w):
     expected = ref_reduce_word(w)
-    assert _reduce_by_letter_set(w) == expected
-    assert _reduce_by_letter_set(list(w)) == expected
+    if not expected:
+        with pytest.raises(StructuralError, match="trivial marking path"):
+            stored_marking_path(w)
+        return
+    assert stored_marking_path(w) == expected
+    assert stored_marking_path(list(w)) == expected
     if expected == w:
-        assert _reduce_by_letter_set(w) is w  # a reduced tuple is not copied
+        assert stored_marking_path(w) is w  # a reduced tuple is not copied
 
 
 @pytest.mark.parametrize("w", [
@@ -442,14 +454,32 @@ def test_letter_set_reduction_matches_reference(w):
     (1, 2, -1, -2) * 30,                    # inverse pairs, reduced
 ])
 def test_letter_set_reduction_cases(w):
-    assert _reduce_by_letter_set(w) == ref_reduce_word(w)
-    assert _reduce_by_letter_set(list(w)) == ref_reduce_word(w)
+    expected = ref_reduce_word(w)
+    for path in (w, list(w)):
+        if expected:
+            assert stored_marking_path(path) == expected
+        else:
+            with pytest.raises(StructuralError, match="trivial marking path"):
+                stored_marking_path(path)
 
 
 def test_letter_set_reduction_of_unhashable_letters():
     # integer-like letters that _check_letters accepts but set() refuses
     w = tuple(map(np.array, (2,) + (1, -1) * 40 + (-1,) * 10))
-    assert [int(a) for a in _reduce_by_letter_set(w)] == [2] + [-1] * 10
+    assert [int(a) for a in stored_marking_path(w)] == [2] + [-1] * 10
+
+
+@pytest.mark.parametrize("w", [(1, -1), (2, 1, 3, -3, -1, -2),
+                               (1, 2) * 40 + (-2, -1) * 40])
+def test_marking_path_reducing_to_the_empty_word_is_trivial(w):
+    """A closed path that reduces to the empty word marks no petal, from
+    Python objects and from graph JSON alike."""
+    with pytest.raises(StructuralError, match="trivial marking path"):
+        stored_marking_path(w)
+    data = graph_to_json(rose_graph(3))
+    data["marking"][0] = list(w)
+    with pytest.raises(StructuralError, match="trivial marking path"):
+        graph_from_json(data)
 
 
 @settings(max_examples=100, deadline=None)
@@ -804,6 +834,64 @@ def test_graph_from_json_renumbers_json_ids():
         for p in g.marking)
 
 
+def test_graph_from_json_refuses_duplicate_vertex_ids():
+    data = {"rank": 1, "vertices": [0, 0], "basepoint": 0,
+            "edges": [{"id": 1, "from": 0, "to": 0}], "marking": [[1]]}
+    with pytest.raises(StructuralError, match="duplicate vertex id"):
+        graph_from_json(data)
+
+
+def test_graph_from_json_refuses_duplicate_edge_ids():
+    """Two edges with id 1 would leave the marking [[1], [1]] naming
+    whichever edge sorted last."""
+    data = {"rank": 2, "vertices": [0], "basepoint": 0,
+            "edges": [{"id": 1, "from": 0, "to": 0}] * 2,
+            "marking": [[1], [1]]}
+    with pytest.raises(StructuralError, match="duplicate edge id"):
+        graph_from_json(data)
+
+
+def _rose_text(ids=(1, 2), vertex="0", marking="[[1], [2, -1, -1]]"):
+    edges = ", ".join('{"id": %s, "from": %s, "to": %s}' % (i, vertex, vertex)
+                      for i in ids)
+    return ('{"rank": 2, "vertices": [%s], "edges": [%s], "basepoint": %s, '
+            '"marking": %s}' % (vertex, edges, vertex, marking))
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_rose_text(), id="int-letters"),
+    pytest.param(_rose_text(marking="[[true], [2, -1]]"), id="true"),
+    pytest.param(_rose_text(marking="[[1], [2.0, -1]]"), id="2.0"),
+    pytest.param(_rose_text(marking="[[1], [2, NaN]]"), id="NaN"),
+    pytest.param(_rose_text(vertex='"true"'), id="string-true"),
+    pytest.param(_rose_text(ids=(7, 9), marking="[[7], [9, -7, -7]]"),
+                 id="ids-7-9"),
+    pytest.param(_rose_text(ids=(7, 9), marking="[[7], [9, 8]]"),
+                 id="ids-7-9-letter-8"),
+    pytest.param(_rose_text(marking='[[1], [2, "a"]]'), id="letter-a"),
+    pytest.param(_rose_text(ids=(7, 9), marking='[[7], [9, "a"]]'),
+                 id="ids-7-9-letter-a"),
+    pytest.param(_rose_text(marking="[[1], [2, -2]]"), id="trivial"),
+])
+def test_load_graph_matches_graph_from_json(tmp_path, text):
+    """load_graph skips the type pass when the decoder met only int
+    numbers and the text holds no true or false; a file gives the Graph,
+    or the StructuralError, that graph_from_json gives for its dict."""
+    path = tmp_path / "g.json"
+    path.write_text(text, encoding="utf-8")
+
+    def outcome(read, arg):
+        try:
+            g = read(arg)
+        except StructuralError as exc:
+            return str(exc)
+        assert all(type(a) is int for p in g.marking for a in p)
+        return g
+
+    want = outcome(graph_from_json, json.loads(text))
+    assert outcome(load_graph, path) == want
+
+
 def test_metric_command_refuses_a_bad_marking_letter(tmp_path):
     from foldtrack.cli import main
     g0 = tmp_path / "g0.json"
@@ -982,12 +1070,12 @@ def conjugated_automorphisms(draw):
     u = ref_reduce_word(draw(st.lists(letters(rank), max_size=40)))
     images = tuple(ref_concat(ref_invert_word(u), w, u) for w in images)
     if draw(st.booleans()):
-        # unreduced images: normalize_outer reduces them as it goes
+        # unreduced images: make_automorphism reduces them
         pad = draw(st.lists(letters(rank), min_size=1, max_size=3))
         k = draw(st.integers(0, rank - 1))
         images = images[:k] + (images[k] + tuple(pad) + ref_invert_word(pad),) \
             + images[k + 1:]
-    return Automorphism(rank, images)
+    return make_automorphism(images)
 
 
 @settings(max_examples=120, deadline=None)
@@ -1001,8 +1089,9 @@ def test_normalize_outer_matches_reference(aut):
     (((1,), (2, 3, -3), (3, -1, 1)), ((1,), (2,), (3,))),
 ])
 def test_normalize_outer_of_unreduced_images(images, expected):
-    """The descent and the plateau walk start from the reduced images, not
-    from the unreduced input and its larger total."""
-    aut = Automorphism(len(images), images)
+    """Built from unreduced words through make_automorphism, the images are
+    reduced, and the descent and the plateau walk start from them, not from
+    the unreduced input and its larger total."""
+    aut = make_automorphism(images)
     assert normalize_outer(aut).images == expected
     assert ref_normalize_outer(aut) == expected
