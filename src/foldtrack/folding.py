@@ -14,11 +14,12 @@ case3-loop-at-v1 (LC = 2), and q o p induces the identity outer automorphism.
 
 A factorization folds one mutable state (_FoldState) in place: a fold
 changes the ends and images of the directions it folds and nothing else.
-The records it leaves hold the fold spec; the quotient, the stage inverse,
-the folded graph with its transported marking and filtration, and the flags
-of that filtration are built when first read.  controlled_inverse composes
-the stage inverses edge by edge; inverse_stats reads their LC bookkeeping
-off the same replay of the graph moves (_stages), only when asked.
+Each graph move is made once, and its record keeps the fold spec with what
+the stage inverse needs beyond it (_inverse_columns); the quotient, the
+stage inverse, the folded graph with its transported marking and
+filtration, and the flags of that filtration are built when first read.
+controlled_inverse composes the stage inverses edge by edge from the
+records, and inverse_stats reads their LC bookkeeping off them when asked.
 """
 
 import logging
@@ -36,7 +37,7 @@ from .words import _longest, invert_word, reduce_word
 
 __all__ = [
     "FoldSpec", "FoldRecord", "FoldFactorization", "find_fold", "apply_fold",
-    "apply_fold_move", "fold_move", "invert_fold",
+    "apply_fold_move", "invert_fold",
     "invert_homeomorphism",
     "is_homeomorphism", "factorize", "clean_factorize", "controlled_inverse",
     "InverseStats", "inverse_stats", "folds_into_lower_strata",
@@ -70,17 +71,18 @@ class FoldSpec(NamedTuple):
 
 
 class FoldRecord:
-    """One fold of a sequence: its spec, set when the fold is made, and the
-    quotient p : G -> G*, the stage inverse q : G* -> G, G* and the flags,
-    built on first access.  G is the graph the sequence started from,
-    carried through the folds before this one with its basepoint, marking
-    and filtration."""
+    """One fold of a sequence: its spec and what its stage inverse needs
+    beyond it, set when the fold is made, and the quotient p : G -> G*,
+    the stage inverse q : G* -> G, G* and the flags, built on first access.
+    G is the graph the sequence started from, carried through the folds
+    before this one with its basepoint, marking and filtration."""
 
-    __slots__ = ("spec", "_prev", "_maps")
+    __slots__ = ("spec", "_prev", "_stage", "_maps")
 
-    def __init__(self, spec, prev):
+    def __init__(self, spec, prev, stage):
         self.spec = spec
         self._prev = prev      # the record before, or the graph folded first
+        self._stage = stage    # what _inverse_columns kept of the fold
         self._maps = None      # (p, q, pushed-filtration flags) once built
 
     @property
@@ -112,7 +114,7 @@ class FoldRecord:
                 r = r._prev
             g = r if isinstance(r, Graph) else r._maps[0].codomain
             for r in reversed(pending):
-                r._maps = _stage_maps(g, r.spec)
+                r._maps = _stage_maps(g, r)
                 g = r._maps[0].codomain
         return self._maps
 
@@ -241,17 +243,17 @@ def _move_ends(nv, ends, spec, v0, v1, v2):
     return nv - 1
 
 
-def _inverse_columns(ends, spec, v1):
-    """The edge images of the stage inverse q : G* -> G that are not one
-    edge of G carried to itself, keyed by the edge of G*.  ends are G's."""
-    d1, d2 = spec.d1, spec.d2
-    m1, m2 = abs(d1), abs(d2)
+def _inverse_columns(ends, spec, v0, v1, v2):
+    """What a fold's record keeps for its stage inverse beyond the spec,
+    read off G's ends: None for case 1, the vertex v0 that a case-2 fold's
+    new vertex goes to, and for case 3 v1, v2 and the columns of _columns,
+    which for the other cases follow from the spec and G's edge count."""
     if spec.case == 1:
-        return {m1: (-d2, d1)}
+        return None
     if spec.case == 2:
-        cols = {m2: (d2,), m1: (d1,)}    # a loop's self-fold keeps (d1,)
-        cols[len(ends) + 1] = ()
-        return cols
+        return v0
+    d1, d2 = spec.d1, spec.d2
+    m1 = abs(d1)
     cols = {}
     for e, (u, v) in enumerate(ends, start=1):
         if e == m1 or v1 not in (u, v):
@@ -262,16 +264,29 @@ def _inverse_columns(ends, spec, v1):
         if v == v1:
             path = path + (-d1, d2)
         cols[e if e < m1 else e - 1] = path
-    return cols
+    return v1, v2, cols
 
 
-def _pull_vertices(vals, spec, v0, v1, v2):
+def _columns(spec, stage, edges):
+    """The edge images of the stage inverse q : G* -> G that are not one
+    edge of G carried to itself, keyed by the edge of G*, stage what
+    _inverse_columns kept and edges G's edge count."""
+    d1, d2 = spec.d1, spec.d2
+    if spec.case == 1:
+        return {abs(d1): (-d2, d1)}
+    if spec.case == 2:    # a loop's self-fold keeps (d1,)
+        return {abs(d2): (d2,), abs(d1): (d1,), edges + 1: ()}
+    return stage[2]
+
+
+def _pull_vertices(vals, spec, stage):
     """Per-vertex values of G, changed in place to those of G* by the stage
-    inverse's vertex map: case 2 gives the new vertex v0's, case 3 the
-    merged vertex v2's."""
+    inverse's vertex map, stage what _inverse_columns kept: case 2 gives the
+    new vertex v0's, case 3 the merged vertex v2's."""
     if spec.case == 2:
-        vals.append(vals[v0])
+        vals.append(vals[stage])
     elif spec.case == 3:
+        v1, v2, _ = stage
         keep, drop = min(v1, v2), max(v1, v2)
         vals[keep] = vals[v2]
         del vals[drop]
@@ -443,6 +458,7 @@ class _FoldState:
             total = self.edgelets - la
         if total >= self.edgelets:
             raise StructuralError("fold failed to decrease the edgelet count")
+        stage = _inverse_columns(self.ends, spec, v0, v1, v2)
         if case == 1:
             img[m1 - 1] = _cut(a, c, la)
         elif case == 2:
@@ -458,7 +474,7 @@ class _FoldState:
             del self.vimg[max(v1, v2)]
         self.edgelets = total
         self.nv = _move_ends(self.nv, self.ends, spec, v0, v1, v2)
-        self.last = FoldRecord(spec, self.last)
+        self.last = FoldRecord(spec, self.last, stage)
         return self.last
 
 
@@ -487,14 +503,34 @@ def find_fold(f):
     return _FoldState(f.domain, f).next_fold()
 
 
-def fold_move(g, spec):
-    """Carry out the quotient for a fold spec on the graph alone.
+def _push_graph_data(g, gstar, p):
+    """Transport basepoint, marking and filtration through the fold
+    quotient: G*_i = p(G_i).  Returns (G*, flags); a pushed filtration
+    that is not strictly increasing is dropped and flagged."""
+    basepoint = p.vertex_map[g.basepoint] if g.basepoint is not None else None
+    marking = None
+    if g.marking is not None:
+        marking = tuple(reduce_word(apply_path(p, mp)) for mp in g.marking)
+    levels, flags = None, ()
+    if g.filtration is not None:
+        levels = tuple(frozenset(abs(d) for e in lev for d in p.edge_map[e - 1])
+                       for lev in g.filtration)
+        if any(not lo < hi for lo, hi in zip(levels, levels[1:])):
+            levels, flags = None, ("pushed-filtration-degenerate",)
+    g2 = Graph(gstar.num_vertices, gstar.edge_ends, basepoint, marking,
+               levels, g.weak_filtration if levels is not None else False)
+    return g2, flags
 
-    Returns (gstar, p, q), gstar without basepoint, marking or filtration.
-    """
+
+def _stage_maps(g, record):
+    """(p, q, flags) of a record's fold of g: p and q with G*'s basepoint,
+    marking and filtration, flags those of the pushed filtration.  G*'s
+    ends come from the graph move, q's columns and vertex map from the
+    record."""
+    spec = record.spec
     d1, d2, case = spec.d1, spec.d2, spec.case
     m1, m2 = abs(d1), abs(d2)
-    v0, v1, v2 = _fold_vertices(g.edge_ends, spec)
+    v0, v1, v2 = g.init(d1), g.term(d1), g.term(d2)
     ends = list(g.edge_ends)
     gstar = Graph(_move_ends(g.num_vertices, ends, spec, v0, v1, v2),
                   tuple(ends))
@@ -522,49 +558,22 @@ def fold_move(g, spec):
         p_edges = [(signed(e),) for e in g.edge_ids]
         p_edges[m1 - 1] = (signed(d2),) if d1 > 0 else (-signed(d2),)
         del q_edges[m1 - 1]
-    for e, path in _inverse_columns(g.edge_ends, spec, v1).items():
+    for e, path in _columns(spec, record._stage, g.num_edges).items():
         q_edges[e - 1] = path
     q_vmap = list(range(g.num_vertices))
-    _pull_vertices(q_vmap, spec, v0, v1, v2)
+    _pull_vertices(q_vmap, spec, record._stage)
     p = GraphMap(g, gstar, tuple(p_vmap), tuple(p_edges))
-    q = GraphMap(gstar, g, tuple(q_vmap), tuple(q_edges))
-    return gstar, p, q
-
-
-def _push_graph_data(g, gstar, p):
-    """Transport basepoint, marking and filtration through the fold
-    quotient: G*_i = p(G_i).  Returns (G*, flags); a pushed filtration
-    that is not strictly increasing is dropped and flagged."""
-    basepoint = p.vertex_map[g.basepoint] if g.basepoint is not None else None
-    marking = None
-    if g.marking is not None:
-        marking = tuple(reduce_word(apply_path(p, mp)) for mp in g.marking)
-    levels, flags = None, ()
-    if g.filtration is not None:
-        levels = tuple(frozenset(abs(d) for e in lev for d in p.edge_map[e - 1])
-                       for lev in g.filtration)
-        if any(not lo < hi for lo, hi in zip(levels, levels[1:])):
-            levels, flags = None, ("pushed-filtration-degenerate",)
-    g2 = Graph(gstar.num_vertices, gstar.edge_ends, basepoint, marking,
-               levels, g.weak_filtration if levels is not None else False)
-    return g2, flags
-
-
-def _stage_maps(g, spec):
-    """(p, q, flags) of a fold of g: p and q with G*'s basepoint, marking
-    and filtration, flags those of the pushed filtration."""
-    gstar, p, q = fold_move(g, spec)
     gstar, flags = _push_graph_data(g, gstar, p)
     return (GraphMap(g, gstar, p.vertex_map, p.edge_map),
-            GraphMap(gstar, g, q.vertex_map, q.edge_map), flags)
+            GraphMap(gstar, g, tuple(q_vmap), tuple(q_edges)), flags)
 
 
 def apply_fold_move(g, spec):
     """Carry out a fold on a graph alone (no map being factored): the record
     with quotient, inverse, and pushed filtration/marking data, built when
     first read.  Raises StructuralError when g cannot make the fold."""
-    _fold_vertices(g.edge_ends, spec)
-    return FoldRecord(spec, g)
+    vertices = _fold_vertices(g.edge_ends, spec)
+    return FoldRecord(spec, g, _inverse_columns(g.edge_ends, spec, *vertices))
 
 
 def apply_fold(f, spec):
@@ -811,21 +820,6 @@ def _wrap(path, pre, post):
     dq.extend(post[k:])
 
 
-def _stages(fact):
-    """(spec, (v0, v1, v2), cols, edges) of each fold of fact, in order,
-    from one replay of the graph moves on fact.source's edge ends: the fold
-    vertices, the stage inverse's columns that are not one edge carried to
-    itself (_inverse_columns) and the edge count of G*."""
-    nv, ends = fact.source.num_vertices, list(fact.source.edge_ends)
-    for record in fact.records:
-        spec = record.spec
-        vertices = _fold_vertices(ends, spec)
-        cols = _inverse_columns(ends, spec, vertices[1])
-        yield (spec, vertices, cols,
-               len(ends) + (spec.case == 2) - (spec.case == 3))
-        nv = _move_ends(nv, ends, spec, *vertices)
-
-
 def controlled_inverse(fact):
     """The homotopy inverse g = q_1 o ... o q_k o theta', tightened, of the
     map fact factors: a map fact.target -> fact.source.  Its LC bookkeeping
@@ -840,10 +834,11 @@ def controlled_inverse(fact):
     g0 = fact.source
     paths = [[deque((e,)), False] for e in g0.edge_ids]
     verts = list(range(g0.num_vertices))
-    for spec, vertices, cols, _ in _stages(fact):
+    for record in fact.records:
+        spec = record.spec
         m1 = abs(spec.d1)
         rewritten = []
-        for e, path in cols.items():
+        for e, path in _columns(spec, record._stage, len(paths)).items():
             if not path:            # the new edge of a case-2 fold
                 rewritten.append((e, [deque(), False], (), ()))
                 continue
@@ -862,7 +857,7 @@ def controlled_inverse(fact):
             del paths[m1 - 1]
         for e, new, _, _ in rewritten:
             paths[e - 1] = new
-        _pull_vertices(verts, spec, *vertices)
+        _pull_vertices(verts, spec, record._stage)
     theta_inv = fact.terminal_inverse
     emap = tuple(_words(paths, p) for p in theta_inv.edge_map)
     g = GraphMap(fact.target, g0,
@@ -881,7 +876,11 @@ def inverse_stats(fact, g):
     stage, read off the stage inverse's columns, LC(M(g)), the log of the
     bound with n = rank of fact.source, and whether LC(M(g)) is within it."""
     stage_lcs = []
-    for _, _, cols, edges in _stages(fact):
+    edges = fact.source.num_edges       # of G_i, then of G*
+    for record in fact.records:
+        spec = record.spec
+        cols = _columns(spec, record._stage, edges)
+        edges += (spec.case == 2) - (spec.case == 3)
         lc = max(map(_multiplicity, cols.values()), default=0)
         # an edge of G* with no column is carried to itself: multiplicity 1
         stage_lcs.append(max(lc, 1) if edges > len(cols) else lc)

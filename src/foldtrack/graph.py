@@ -11,7 +11,8 @@ Conventions:
 
 import json
 from dataclasses import dataclass, replace
-from operator import countOf, neg
+from operator import countOf, index, neg
+from typing import NamedTuple
 
 from .errors import StructuralError
 from .words import _check_letters, _letters_outside, invert_word, reduce_word
@@ -472,12 +473,42 @@ def graph_from_json(data):
     the graph's path, and make_graph checks it; other ids, and letters of
     other types (true, 2.0), are renumbered to ints through a table keyed by
     unsigned id."""
-    return _graph_from_json(data, False)
+    return _graph_from_json(data, False)[0]
+
+
+class _JsonIds(NamedTuple):
+    """The JSON ids a graph was decoded from: vertices maps each JSON vertex
+    id to the graph's vertex, edges each JSON edge id to the graph's edge,
+    both in the graph's order."""
+
+    vertices: dict
+    edges: dict
+
+    def keys(self):
+        """The vertex ids and the edge ids as JSON object keys, in the
+        graph's order: a string as itself, any other id as its JSON text
+        (5 as "5").  Two ids with one key raise StructuralError."""
+        tables = []
+        for table in (self.vertices, self.edges):
+            keys = [a if isinstance(a, str) else json.dumps(a) for a in table]
+            if len(set(keys)) != len(keys):
+                raise StructuralError(
+                    "two JSON ids of a graph name one map key")
+            tables.append(keys)
+        return tables
+
+    def vertex(self, v):
+        """The graph's vertex of a JSON vertex id; a number must be an int."""
+        return self.vertices[v if isinstance(v, str) else index(v)]
+
+    def path(self, letters):
+        """The graph's path of signed JSON edge ids, which must be ints."""
+        return _renumbered(tuple(map(index, letters)), self.edges)
 
 
 def _graph_from_json(data, ints):
-    """graph_from_json; with `ints` every number in data is an int, so the
-    marking letters need no type pass."""
+    """(graph, its _JsonIds) of graph_from_json.  With `ints` every number
+    in data is an int, so the marking letters need no type pass."""
     try:
         vs = list(data["vertices"])
         vmap = {v: i for i, v in enumerate(vs)}
@@ -504,8 +535,9 @@ def _graph_from_json(data, ints):
                               % (type(exc).__name__, exc)) from None
     # the letters are ints, proven or renumbered, or no numbers at all, so
     # make_graph skips the letter check's sum
-    return _make_graph(len(vs), ends, base, marking, filtration or None,
-                       bool(data.get("weak_filtration", False)), False, True)
+    g = _make_graph(len(vs), ends, base, marking, filtration or None,
+                    bool(data.get("weak_filtration", False)), False, True)
+    return g, _JsonIds(vmap, emap)
 
 
 def _renumbered(path, emap):
@@ -533,7 +565,7 @@ def load_graph(path):
 
     data = json.loads(text, parse_float=noted, parse_constant=noted)
     ints = not other and "true" not in text and "false" not in text
-    return _graph_from_json(data, ints)
+    return _graph_from_json(data, ints)[0]
 
 
 def dump_graph(g, path):

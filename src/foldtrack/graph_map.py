@@ -8,11 +8,10 @@ product inequalities are stated against.
 
 import math
 from dataclasses import dataclass
-from operator import index
 
 from .errors import StructuralError
 from .graph import (
-    Graph, build_subgraph, components, edge_level, graph_from_json,
+    Graph, _graph_from_json, build_subgraph, components, edge_level,
     graph_to_json, make_graph, pi1_word, rank, reverse_path, spanning_tree,
     stratum, subgraph_closure, tighten,
 )
@@ -357,15 +356,18 @@ def map_to_json(f):
 
 
 def map_from_json(data):
-    """Decode and validate a map; malformed input raises StructuralError."""
+    """Decode and validate a map; malformed input raises StructuralError.
+
+    vertex_map and edge_map are keyed by the domain's JSON ids.  Vertex
+    images are the codomain's JSON vertex ids, and image letters its signed
+    JSON edge ids; a number among them must be an int."""
     try:
-        dom = graph_from_json(data["domain"])
-        cod = graph_from_json(data["codomain"])
+        dom, dom_ids = _graph_from_json(data["domain"], False)
+        cod, cod_ids = _graph_from_json(data["codomain"], False)
         vtab, etab = data["vertex_map"], data["edge_map"]
-        # index() refuses floats and strings where int() would truncate
-        # or parse them
-        vmap = [index(vtab[str(v)]) for v in range(dom.num_vertices)]
-        emap = [tuple(map(index, etab[str(e)])) for e in dom.edge_ids]
+        vkeys, ekeys = dom_ids.keys()
+        vmap = [cod_ids.vertex(vtab[k]) for k in vkeys]
+        emap = [cod_ids.path(etab[k]) for k in ekeys]
     except (KeyError, TypeError) as exc:
         raise StructuralError("malformed map JSON: %s: %s"
                               % (type(exc).__name__, exc)) from None

@@ -115,9 +115,12 @@ def _fib_map_json():
     lambda d: d["edge_map"].update({"2": [1.5]}),
     lambda d: d["edge_map"].update({"2": ["1"]}),
     lambda d: d.update(vertex_map={"0": 0.7}),
+    lambda d: (d["domain"]["vertices"].append("0"), d["domain"]["edges"]
+               .append({"id": 3, "from": 0, "to": "0"})),
 ], ids=["edge-id-5", "letter-0", "empty-vertex-map", "edge-key-3",
         "marking-unknown-edge", "null-vertex-image", "edges-not-a-list",
-        "float-letter", "string-letter", "float-vertex-image"])
+        "float-letter", "string-letter", "float-vertex-image",
+        "vertex-ids-with-one-key"])
 def test_invert_malformed_map_exit_2(tmp_path, edit):
     data = _fib_map_json()
     edit(data)

@@ -479,8 +479,8 @@ def test_lambda_mu_and_invert_paths_build_no_stage_maps(monkeypatch,
         expansion_pair, parse_automorphism, rose_representative,
     )
 
-    def no_stage_maps(g, spec):
-        raise AssertionError("stage maps built for %r" % (spec,))
+    def no_stage_maps(g, record):
+        raise AssertionError("stage maps built for %r" % (record.spec,))
 
     monkeypatch.setattr(folding, "_stage_maps", no_stage_maps)
     assert expansion_pair(parageometric).factorization.fold_count > 0
@@ -491,3 +491,33 @@ def test_lambda_mu_and_invert_paths_build_no_stage_maps(monkeypatch,
     assert fact.clean_outcome == "none-exists"
     stats = folding.inverse_stats(fact, controlled_inverse(fact))
     assert stats.lc == 2
+
+
+def test_one_graph_move_per_fold(monkeypatch):
+    """Each fold's vertices and stage-inverse columns are worked out once,
+    when the fold is made: the controlled inverse, its LC bookkeeping and
+    the stage maps read them off the records."""
+    from foldtrack import folding
+    from foldtrack.automorphisms import expansion_pairs, trial_automorphisms
+
+    calls = Counter()
+
+    def counted(name):
+        function = getattr(folding, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(folding, name, wrapper)
+
+    counted("_fold_vertices")
+    counted("_inverse_columns")
+    pairs = expansion_pairs(trial_automorphisms(3, 10, 1, range(100)))
+    folds = sum(p.factorization.fold_count for p in pairs)
+    assert folds > 100
+    assert sum(p.inverse_stats.fold_count for p in pairs) == folds
+    assert calls == {"_fold_vertices": folds, "_inverse_columns": folds}
+    for pair in pairs:
+        for record in pair.factorization.records:
+            assert record.inverse.codomain == record.quotient.domain
+    assert calls == {"_fold_vertices": folds, "_inverse_columns": folds}

@@ -197,6 +197,63 @@ def test_map_json_roundtrip(fibonacci):
     assert f2.vertex_map == fibonacci.vertex_map
 
 
+def renumbered_map_json(f, vertex_ids, edge_ids):
+    """map_to_json(f) with both graphs and the map tables written in the
+    given JSON vertex and edge ids."""
+    def edge(d):
+        return edge_ids[d] if d > 0 else -edge_ids[-d]
+
+    def graph(data):
+        data["vertices"] = [vertex_ids[v] for v in data["vertices"]]
+        data["basepoint"] = vertex_ids[data["basepoint"]]
+        for d in data["edges"]:
+            d.update(id=edge_ids[d["id"]], **{k: vertex_ids[d[k]]
+                                               for k in ("from", "to")})
+        data["marking"] = [[edge(d) for d in p] for p in data["marking"]]
+
+    data = map_to_json(f)
+    graph(data["domain"])
+    graph(data["codomain"])
+    data["vertex_map"] = {str(vertex_ids[int(v)]): vertex_ids[w]
+                          for v, w in data["vertex_map"].items()}
+    data["edge_map"] = {str(edge_ids[int(e)]): [edge(d) for d in p]
+                        for e, p in data["edge_map"].items()}
+    return data
+
+
+@pytest.mark.parametrize("vertex_ids, edge_ids", [
+    ({0: 0}, {1: 7, 2: 9}),
+    ({0: 5}, {1: 1, 2: 2}),
+    ({0: 5}, {1: 7, 2: 9}),
+    ({0: "v"}, {1: 7, 2: 9}),
+])
+def test_map_json_reads_the_graphs_json_ids(fibonacci, vertex_ids, edge_ids):
+    """vertex_map and edge_map are keyed by the domain's JSON ids, and
+    vertex images and letters are the codomain's: renumbered ids decode to
+    the map that the dense ids map_to_json writes decode to."""
+    dense = map_from_json(map_to_json(fibonacci))
+    assert dense.edge_map == fibonacci.edge_map
+    data = renumbered_map_json(fibonacci, vertex_ids, edge_ids)
+    assert map_from_json(data) == dense
+
+
+def test_map_json_reads_ids_of_a_two_vertex_map(theta):
+    f = make_graph_map(theta, theta, (1, 0), [(-2,), (-3,), (-1,)])
+    data = renumbered_map_json(f, {0: "x", 1: 5}, {1: 4, 2: 8, 3: 15})
+    assert data["vertex_map"] == {"x": 5, "5": "x"}
+    assert map_from_json(data) == map_from_json(map_to_json(f))
+
+
+def test_map_json_refuses_ids_with_one_key(theta):
+    """The JSON ids 5 and "5" are two vertices of a graph, but one key of
+    vertex_map."""
+    f = make_graph_map(theta, theta, (0, 1), [(1,), (2,), (3,)])
+    data = renumbered_map_json(f, {0: 5, 1: "5"}, {1: 1, 2: 2, 3: 3})
+    data["vertex_map"] = {"5": 5}
+    with pytest.raises(StructuralError, match="one map key"):
+        map_from_json(data)
+
+
 def test_restrict(rose2):
     g = rose2.with_filtration([{1}, {1, 2}])
     f = make_graph_map(g, g, (0,), [(1,), (2, 1)])
