@@ -19,7 +19,7 @@ from .errors import CapacityError
 from .folding import FoldSpec, apply_fold_move
 from .graph import (
     make_graph, pi1_generators, pi1_word, spanning_tree, subgraph_closure,
-    subgraph_components, subgraph_rank, tree_path,
+    subgraph_components, subgraph_rank, tree_path, valences,
 )
 from .graph_map import (
     apply_path, compose, gate_count, make_graph_map, restrict,
@@ -28,7 +28,7 @@ from .graph_map import (
 from .metric import _estimates, twist_family
 from .reducibility import (
     DEFAULT_EDGE_BUDGET, ReducibilityVerdict, _gates_at_least_two,
-    _no_valence_one, is_reducible,
+    is_reducible,
 )
 from .spectra import lc, l_total, pf_value, pf_value_charpoly
 from .words import generates_free_group
@@ -271,7 +271,7 @@ def is_reducible_bruteforce(f, j, budget=DEFAULT_EDGE_BUDGET):
     for mask in range(1, (1 << len(free)) - 1):
         chosen = frozenset(e for i, e in enumerate(free) if mask >> i & 1)
         candidate = below | chosen
-        if not _no_valence_one(g, candidate):
+        if 1 in valences(g, candidate):
             continue
         if not _gates_at_least_two(f, candidate):
             continue

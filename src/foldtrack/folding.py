@@ -31,8 +31,10 @@ from operator import neg
 from typing import NamedTuple
 
 from .errors import CertificationError, StructuralError
-from .graph import Graph, components, frontier, rank, subgraph_rank
-from .graph_map import GraphMap, apply_path, identity_map, is_tight, tighten_map
+from .graph import Graph, _union_find, components, frontier, rank
+from .graph_map import (
+    GraphMap, _image_edges, apply_path, identity_map, is_tight, tighten_map,
+)
 from .words import _longest, invert_word, reduce_word
 
 __all__ = [
@@ -513,8 +515,7 @@ def _push_graph_data(g, gstar, p):
         marking = tuple(reduce_word(apply_path(p, mp)) for mp in g.marking)
     levels, flags = None, ()
     if g.filtration is not None:
-        levels = tuple(frozenset(abs(d) for e in lev for d in p.edge_map[e - 1])
-                       for lev in g.filtration)
+        levels = tuple(_image_edges(p, lev) for lev in g.filtration)
         if any(not lo < hi for lo, hi in zip(levels, levels[1:])):
             levels, flags = None, ("pushed-filtration-degenerate",)
     g2 = Graph(gstar.num_vertices, gstar.edge_ends, basepoint, marking,
@@ -903,29 +904,16 @@ def collapse_edges(g, edges):
     edges = frozenset(edges)
     if not edges:
         return g, identity_map(g)
-    if subgraph_rank(g, edges) != 0:
+    label, joins = _union_find(g.num_vertices,
+                               [g.edge_ends[e - 1] for e in edges])
+    if len(joins) != len(edges):
         raise StructuralError("collapsing a subgraph with a cycle changes rank")
-    parent = list(range(g.num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges:
-        u, v = g.edge_ends[e - 1]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    reps = sorted({find(v) for v in range(g.num_vertices)})
-    new_id = {r: i for i, r in enumerate(reps)}
-    vmap = tuple(new_id[find(v)] for v in range(g.num_vertices))
+    vmap = tuple(label)
     surviving = [e for e in g.edge_ids if e not in edges]
     emap = {e: i + 1 for i, e in enumerate(surviving)}
     ends = tuple((vmap[g.edge_ends[e - 1][0]], vmap[g.edge_ends[e - 1][1]])
                  for e in surviving)
-    g2 = Graph(len(reps), ends)
+    g2 = Graph(g.num_vertices - len(edges), ends)
     p_edges = tuple(() if e in edges else (emap[e],) for e in g.edge_ids)
     cmap = GraphMap(g, g2, vmap, p_edges)
     return g2, cmap
@@ -951,9 +939,10 @@ def certify_homotopy_equivalence(f):
         return False
     collapsed = [e for e in g.edge_ids if not f.edge_map[e - 1]]
     if collapsed:
-        if subgraph_rank(g, collapsed) != 0:
+        try:
+            g2, cmap = collapse_edges(g, collapsed)
+        except StructuralError:  # the zero-image subgraph has a cycle
             return False
-        g2, cmap = collapse_edges(g, collapsed)
         vmap = [None] * g2.num_vertices
         for v, w in enumerate(f.vertex_map):
             vmap[cmap.vertex_map[v]] = w

@@ -15,7 +15,7 @@ from operator import countOf, index, neg
 from typing import NamedTuple
 
 from .errors import StructuralError
-from .words import _check_letters, _letters_outside, invert_word, reduce_word
+from .words import _check_letters, invert_word, reduce_word
 
 __all__ = [
     "Graph", "make_graph", "rank", "components", "tighten", "reverse_path",
@@ -82,17 +82,17 @@ class Graph:
 
 
 def make_graph(num_vertices, edge_ends, basepoint=None, marking=None,
-               filtration=None, weak_filtration=False, marked=False):
-    """Validating constructor.  With marked=True additionally checks
-    connectivity, rank agreement with the marking, and closed marking paths.
+               filtration=None, weak_filtration=False):
+    """Validating constructor.  A marking additionally needs a basepoint, a
+    connected graph, one petal per unit of rank, and closed marking paths.
     Each marking path is stored reduced; one that reduces to the empty
     word is refused as trivial."""
     return _make_graph(num_vertices, edge_ends, basepoint, marking,
-                       filtration, weak_filtration, marked, False)
+                       filtration, weak_filtration, False)
 
 
 def _make_graph(num_vertices, edge_ends, basepoint, marking, filtration,
-                weak_filtration, marked, ints):
+                weak_filtration, ints):
     """make_graph; with `ints` no marking letter is a number other than an
     int (see _check_letters)."""
     edge_ends = tuple((int(u), int(v)) for u, v in edge_ends)
@@ -104,19 +104,20 @@ def _make_graph(num_vertices, edge_ends, basepoint, marking, filtration,
               weak_filtration)
     if g.filtration is not None:
         validate_filtration(g)
-    if marked or marking is not None:
+    if marking is not None:
         if g.basepoint is None:
             raise StructuralError("marked graph needs a basepoint")
-        if len(components(g)) != 1:
+        joins = _union_find(num_vertices, edge_ends)[1]
+        if len(joins) != num_vertices - 1:
             raise StructuralError("marked graph must be connected")
-        if marking is not None:
-            marking = [tuple(p) for p in marking]
-            if len(marking) != rank(g):
-                raise StructuralError(
-                    "marking has %d petals but graph has rank %d"
-                    % (len(marking), rank(g)))
-            g = replace(g, marking=tuple(
-                [_marking_path(g, p, ints) for p in marking]))
+        marking = [tuple(p) for p in marking]
+        n = len(edge_ends) - len(joins)
+        if len(marking) != n:
+            raise StructuralError(
+                "marking has %d petals but graph has rank %d"
+                % (len(marking), n))
+        g = replace(g, marking=tuple(
+            [_marking_path(g, p, ints) for p in marking]))
     return g
 
 
@@ -136,14 +137,14 @@ def _marking_path(g, p, ints):
     return p
 
 
-def rank(g):
-    """First Betti number: E - V + #components."""
-    return g.num_edges - g.num_vertices + len(components(g))
-
-
-def components(g):
-    """Vertex sets of connected components (isolated vertices included)."""
-    parent = list(range(g.num_vertices))
+def _union_find(num_vertices, ends):
+    """Connectivity of the vertices 0..num_vertices-1 under the edges with
+    the given (init, term) ends, joined in order; each root is the least
+    vertex of its class.  Returns (label, joins): label[v] numbers v's
+    component, components numbered in the order of their least vertices,
+    and joins lists the positions in `ends` of the edges that joined two
+    components."""
+    parent = list(range(num_vertices))
 
     def find(x):
         while parent[x] != x:
@@ -151,14 +152,40 @@ def components(g):
             x = parent[x]
         return x
 
-    for u, v in g.edge_ends:
+    joins = []
+    for i, (u, v) in enumerate(ends):
         ru, rv = find(u), find(v)
         if ru != rv:
-            parent[ru] = rv
+            parent[max(ru, rv)] = min(ru, rv)
+            joins.append(i)
+    if len(joins) == num_vertices - 1:  # connected: one class
+        return [0] * num_vertices, joins
+    roots = [find(v) for v in range(num_vertices)]
+    # a root first appears as itself, the least vertex of its class
+    number = {r: i for i, r in enumerate(dict.fromkeys(roots))}
+    return [number[r] for r in roots], joins
+
+
+def _classes(label, vertices):
+    """The given vertices grouped by label, in the order of each group's
+    first vertex."""
     comps = {}
-    for v in range(g.num_vertices):
-        comps.setdefault(find(v), set()).add(v)
+    for v in vertices:
+        comps.setdefault(label[v], set()).add(v)
     return list(comps.values())
+
+
+def rank(g):
+    """First Betti number: E - V + #components, the edges that close a
+    cycle."""
+    return g.num_edges - len(_union_find(g.num_vertices, g.edge_ends)[1])
+
+
+def components(g):
+    """Vertex sets of connected components (isolated vertices included),
+    in the order of their least vertices."""
+    label = _union_find(g.num_vertices, g.edge_ends)[0]
+    return _classes(label, range(g.num_vertices))
 
 
 def valences(g, edges=None):
@@ -235,13 +262,7 @@ def validate_filtration(g):
             raise StructuralError(
                 "strict filtration length %d exceeds 2n-1" % len(levels))
         for lev in levels:
-            vset, eset = subgraph_closure(g, lev)
-            val = {}
-            for e in eset:
-                u, v = g.edge_ends[e - 1]
-                val[u] = val.get(u, 0) + 1
-                val[v] = val.get(v, 0) + 1
-            if any(val.get(v, 0) == 1 for v in vset):
+            if 1 in valences(g, lev):
                 raise StructuralError("strict filtration level has a valence-one vertex")
         for lo, hi in zip(levels, levels[1:]):
             r0, c0 = subgraph_rank(g, lo), len(subgraph_components(g, lo))
@@ -295,42 +316,25 @@ def frontier(g, b, a):
     _check_levels(g, b, a)
     gb = g.filtration[b - 1]
     vb, _ = subgraph_closure(g, gb)
-    higher = frozenset(g.edge_ids) - gb
-    touched = set()
-    for e in higher:
-        u, v = g.edge_ends[e - 1]
-        touched.add(u)
-        touched.add(v)
+    touched, _ = subgraph_closure(g, frozenset(g.edge_ids) - gb)
     below = g.filtration[a - 2] if a >= 2 else frozenset()
     vbelow, _ = subgraph_closure(g, below)
     return frozenset(v for v in vb if v in touched and v not in vbelow)
 
 
 def subgraph_rank(g, edges):
-    vset, eset = subgraph_closure(g, edges)
-    return len(eset) - len(vset) + len(subgraph_components(g, edges))
+    """First Betti number of an edge subset's closure."""
+    ends = [g.edge_ends[e - 1] for e in frozenset(edges)]
+    return len(ends) - len(_union_find(g.num_vertices, ends)[1])
 
 
 def subgraph_components(g, edges):
-    """Connected components (vertex frozensets) of an edge subset's closure."""
+    """Connected components (vertex frozensets) of an edge subset's closure,
+    in the order of their least vertices."""
     vset, eset = subgraph_closure(g, edges)
-    parent = {v: v for v in vset}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in eset:
-        u, v = g.edge_ends[e - 1]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    comps = {}
-    for v in vset:
-        comps.setdefault(find(v), set()).add(v)
-    return [frozenset(c) for c in comps.values()]
+    ends = [g.edge_ends[e - 1] for e in eset]
+    label = _union_find(g.num_vertices, ends)[0]
+    return [frozenset(c) for c in _classes(label, sorted(vset))]
 
 
 def build_subgraph(g, edges, extra_vertices=()):
@@ -352,25 +356,14 @@ def build_subgraph(g, edges, extra_vertices=()):
 # -- spanning trees and pi_1 coordinates -------------------------------------
 
 def spanning_tree(g):
-    """Deterministic spanning tree: grow from the basepoint, always adding the
-    lowest-id edge reaching a new vertex.  Requires a connected graph."""
-    if g.basepoint is None:
-        base = 0
-    else:
-        base = g.basepoint
-    in_tree = set()
-    reached = {base}
-    while len(reached) < g.num_vertices:
-        best = None
-        for e, (u, v) in enumerate(g.edge_ends, start=1):
-            if (u in reached) != (v in reached):
-                best = e
-                break
-        if best is None:
-            raise StructuralError("graph is not connected")
-        in_tree.add(best)
-        reached.update(g.edge_ends[best - 1])
-    return frozenset(in_tree)
+    """The spanning tree of least edge ids: Kruskal's tree with edge ids as
+    weights, which are distinct, so the minimum spanning tree is unique.  It
+    is the tree grown from any vertex by always adding the lowest-id edge
+    reaching a new vertex.  Requires a connected graph."""
+    joins = _union_find(g.num_vertices, g.edge_ends)[1]
+    if len(joins) < g.num_vertices - 1:
+        raise StructuralError("graph is not connected")
+    return frozenset([i + 1 for i in joins])
 
 
 def tree_path(g, tree, u, v):
@@ -521,8 +514,8 @@ def _graph_from_json(data, ints):
             raise StructuralError("duplicate edge id in graph JSON")
         ends = [(vmap[d["from"]], vmap[d["to"]]) for d in edges]
         marking = data.get("marking")
+        same = ids == list(range(1, len(ids) + 1)) and _all_ints(ids)
         if marking is not None:
-            same = ids == list(range(1, len(ids) + 1)) and _all_ints(ids)
             paths = [tuple(p) for p in marking]
             marking = [p if same and (ints or _all_ints(p)) else
                        _renumbered(p, emap) for p in paths]
@@ -535,17 +528,30 @@ def _graph_from_json(data, ints):
                               % (type(exc).__name__, exc)) from None
     # the letters are ints, proven or renumbered, or no numbers at all, so
     # make_graph skips the letter check's sum
-    g = _make_graph(len(vs), ends, base, marking, filtration or None,
-                    bool(data.get("weak_filtration", False)), False, True)
+    try:
+        g = _make_graph(len(vs), ends, base, marking, filtration or None,
+                        bool(data.get("weak_filtration", False)), True)
+    except StructuralError:
+        # with dense ids the letters are passed as they are: one that is no
+        # edge id of the file is named, as renumbering names it
+        if same and marking:
+            for p in marking:
+                _renumbered(p, emap)
+        raise
     return g, _JsonIds(vmap, emap)
 
 
 def _renumbered(path, emap):
     """A path of signed JSON edge ids as a path of the graph's edge ids."""
-    try:
-        return tuple([emap[a] if a > 0 else -emap[-a] for a in path])
-    except (KeyError, TypeError):
-        raise _letters_outside(len(emap)) from None
+    out = []
+    for a in path:
+        try:
+            out.append(emap[a] if a > 0 else -emap[-a])
+        except (KeyError, TypeError):
+            raise StructuralError(
+                "word names the letter %r, which is no signed edge id of "
+                "the file" % (a,)) from None
+    return tuple(out)
 
 
 def load_graph(path):

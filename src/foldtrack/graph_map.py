@@ -278,6 +278,11 @@ def submatrix(tm, r, s):
 
 # -- filtration respect and marking respect ------------------------------------
 
+def _image_edges(f, edges):
+    """The edge ids that the images of the given edges cross."""
+    return frozenset([abs(d) for e in edges for d in f.edge_map[e - 1]])
+
+
 def restrict(f, edges, cod_edges=None):
     """Restriction of f to the closure of an edge subset.
 
@@ -287,7 +292,7 @@ def restrict(f, edges, cod_edges=None):
     g, h = f.domain, f.codomain
     dom_g, dvmap, demap = build_subgraph(g, edges)
     if cod_edges is None:
-        cod_edges = frozenset(abs(d) for e in demap for d in f.edge_map[e - 1])
+        cod_edges = _image_edges(f, demap)
     # vertices whose image is an isolated vertex still need a home
     cod_g, cvmap, cemap = build_subgraph(
         h, cod_edges, {f.vertex_map[v] for v in dvmap})
@@ -318,10 +323,7 @@ def respects_filtration(f):
     if len(g.filtration) != len(h.filtration):
         raise ValueError("filtration lengths differ")
     for gi, hi in zip(g.filtration, h.filtration):
-        image = set()
-        for e in gi:
-            image.update(abs(d) for d in f.edge_map[e - 1])
-        if not image <= set(hi):
+        if not _image_edges(f, gi) <= set(hi):
             return False
         rf, _, _ = restrict(f, gi, cod_edges=hi)
         if not certify_homotopy_equivalence(rf):

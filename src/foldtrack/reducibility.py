@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 from .errors import CapacityError
 from .folding import certify_homotopy_equivalence
-from .graph import subgraph_closure, subgraph_components, subgraph_rank
-from .graph_map import direction_map, restrict
+from .graph import (
+    subgraph_closure, subgraph_components, subgraph_rank, valences,
+)
+from .graph_map import _image_edges, direction_map, restrict
 
 __all__ = ["ReducibilityVerdict", "is_reducible", "homology_change",
            "witness_conditions"]
@@ -25,23 +27,6 @@ DEFAULT_EDGE_BUDGET = 16
 class ReducibilityVerdict:
     reducible: bool
     witness: frozenset = None  # edge set of the refining subgraph, if any
-
-
-def _image_edges(f, edges):
-    out = set()
-    for e in edges:
-        out.update(abs(d) for d in f.edge_map[e - 1])
-    return frozenset(out)
-
-
-def _no_valence_one(g, edges):
-    vset, eset = subgraph_closure(g, edges)
-    val = {}
-    for e in eset:
-        u, v = g.edge_ends[e - 1]
-        val[u] = val.get(u, 0) + 1
-        val[v] = val.get(v, 0) + 1
-    return all(val.get(v, 0) != 1 for v in vset)
 
 
 def _gates_at_least_two(f, edges):
@@ -57,8 +42,7 @@ def _gates_at_least_two(f, edges):
 
 def witness_conditions(f, edges):
     """The three refinement-witness conditions for a candidate edge set."""
-    g = f.domain
-    if not _no_valence_one(g, edges):
+    if 1 in valences(f.domain, frozenset(edges)):
         return False
     if not _gates_at_least_two(f, edges):
         return False

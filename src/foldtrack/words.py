@@ -49,13 +49,8 @@ def _check_letters(word, n, ints=False):
     except TypeError:
         ok = False
     if not ok:
-        raise _letters_outside(n)
+        raise StructuralError("word names a letter outside +-1..+-%d" % n)
     return letters
-
-
-def _letters_outside(n):
-    """The error for a word that names a letter outside +-1..+-n."""
-    return StructuralError("word names a letter outside +-1..+-%d" % n)
 
 
 def reduce_word(letters):

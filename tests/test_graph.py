@@ -1,13 +1,15 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from foldtrack.errors import StructuralError
+from foldtrack.folding import collapse_edges
 from foldtrack.graph import (
-    components, frontier, graph_from_json, graph_to_json, make_graph,
-    pi1_word, rank, spanning_tree, stratum, subgraph_rank, tighten,
-    tree_path, validate_filtration,
+    Graph, components, frontier, graph_from_json, graph_to_json, make_graph,
+    pi1_word, rank, spanning_tree, stratum, subgraph_components,
+    subgraph_rank, tighten, tree_path, validate_filtration,
 )
 
 
@@ -96,6 +98,103 @@ def test_components():
     comps = components(g)
     assert sorted(sorted(c) for c in comps) == [[0, 1], [2], [3]]
     assert subgraph_rank(g, {2}) == 1
+
+
+def _reference_components(n, ends):
+    """Components of the vertices 0..n-1 under the given edge ends, by
+    depth-first search from each unseen vertex in increasing order."""
+    adjacent = [[] for _ in range(n)]
+    for u, v in ends:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    seen, comps = set(), []
+    for start in range(n):
+        if start not in seen:
+            seen.add(start)
+            comp, stack = {start}, [start]
+            while stack:
+                for w in adjacent[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        comp.add(w)
+                        stack.append(w)
+            comps.append(comp)
+    return comps
+
+
+def _reference_prim_tree(g, base):
+    """Grow a tree from base, always adding the lowest-id edge that reaches
+    a new vertex; None when the graph is not connected."""
+    tree, reached = set(), {base}
+    while len(reached) < g.num_vertices:
+        best = next((e for e, (u, v) in enumerate(g.edge_ends, start=1)
+                     if (u in reached) != (v in reached)), None)
+        if best is None:
+            return None
+        tree.add(best)
+        reached.update(g.edge_ends[best - 1])
+    return frozenset(tree)
+
+
+def _random_multigraph(rng):
+    """1-8 vertices and 0-14 edges drawn uniformly: loops, parallel edges,
+    isolated vertices and several components all occur."""
+    n = rng.randint(1, 8)
+    ends = [(rng.randrange(n), rng.randrange(n))
+            for _ in range(rng.randint(0, 14))]
+    return Graph(n, tuple(ends))
+
+
+def test_union_find_callers_match_reference():
+    """components, rank, subgraph_components, subgraph_rank, spanning_tree
+    and collapse_edges share one union-find; each agrees with a search
+    written out here, component order and collapse numbering included."""
+    rng = random.Random(24)
+    kinds = set()
+    for _ in range(600):
+        g = _random_multigraph(rng)
+        n, ends = g.num_vertices, g.edge_ends
+        comps = _reference_components(n, ends)
+        assert components(g) == comps
+        assert rank(g) == len(ends) - n + len(comps)
+        kinds.update(("loop" if u == v else "edge") for u, v in ends)
+        kinds.add("parallel" if len(set(ends)) < len(ends) else None)
+        kinds.add("isolated" if any(len(c) == 1 for c in comps) else None)
+        kinds.add("disconnected" if len(comps) > 1 else None)
+
+        subset = frozenset(e for e in g.edge_ids if rng.random() < 0.5)
+        closure = {x for e in subset for x in ends[e - 1]}
+        sub = [c & closure for c in _reference_components(
+            n, [ends[e - 1] for e in subset]) if c & closure]
+        assert subgraph_components(g, subset) == sub
+        assert subgraph_rank(g, subset) == len(subset) - len(closure) + len(sub)
+
+        prim = _reference_prim_tree(g, rng.randrange(n))
+        if prim is None:
+            with pytest.raises(StructuralError):
+                spanning_tree(g)
+        else:
+            assert spanning_tree(g) == prim
+
+        forest = []
+        for e in rng.sample(list(g.edge_ids), len(ends)):
+            joined = [ends[d - 1] for d in forest + [e]]
+            if len(_reference_components(n, joined)) == n - len(joined):
+                forest.append(e)
+        g2, cmap = collapse_edges(g, forest)
+        classes = _reference_components(n, [ends[e - 1] for e in forest])
+        vmap = tuple(next(i for i, c in enumerate(classes) if v in c)
+                     for v in range(n))
+        kept = [e for e in g.edge_ids if e not in forest]
+        assert cmap.vertex_map == vmap
+        assert cmap.edge_map == tuple(
+            () if e in forest else (kept.index(e) + 1,) for e in g.edge_ids)
+        assert g2 == Graph(len(classes), tuple(
+            (vmap[ends[e - 1][0]], vmap[ends[e - 1][1]]) for e in kept))
+        if subgraph_rank(g, subset) > 0:
+            with pytest.raises(StructuralError):
+                collapse_edges(g, subset)
+    assert kinds >= {"loop", "edge", "parallel", "isolated", "disconnected"}
 
 
 def test_json_roundtrip(rose2):

@@ -237,6 +237,20 @@ def test_map_json_reads_the_graphs_json_ids(fibonacci, vertex_ids, edge_ids):
     assert map_from_json(data) == dense
 
 
+@pytest.mark.parametrize("edit, letter", [
+    (lambda d: d["domain"].update(marking=[[7], [8]]), 8),
+    (lambda d: d["edge_map"].update({"7": [-8]}), -8),
+], ids=["graph-marking", "map-image"])
+def test_map_json_names_a_letter_outside_the_ids(fibonacci, edit, letter):
+    """A marking letter or image letter that is no edge id of the file is
+    named as the file writes it, not against the graph's ids 1..E."""
+    data = renumbered_map_json(fibonacci, {0: 0}, {1: 7, 2: 9})
+    edit(data)
+    with pytest.raises(StructuralError, match="the letter %d, which is no "
+                       "signed edge id of the file" % letter):
+        map_from_json(data)
+
+
 def test_map_json_reads_ids_of_a_two_vertex_map(theta):
     f = make_graph_map(theta, theta, (1, 0), [(-2,), (-3,), (-1,)])
     data = renumbered_map_json(f, {0: "x", 1: 5}, {1: 4, 2: 8, 3: 15})
