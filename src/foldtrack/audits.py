@@ -176,9 +176,7 @@ def pg_suite(trials=50, seed=0, rank=3):
     failures = []
     for t in range(trials):
         f, g, records = pg_chain(rng, rank)
-        mf = transition_matrix(f).entries
-        mg = transition_matrix(g).entries
-        if not (mf == mg).all():
+        if transition_matrix(f).entries != transition_matrix(g).entries:
             failures.append(("pg-equality", t))
         for i, record in enumerate(records):
             if lc(transition_matrix(record.inverse).entries) != 1:

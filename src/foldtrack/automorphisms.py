@@ -376,11 +376,13 @@ def word_growth_rate(aut, seeds=None, k_max=40):
 
 def _growth_rate(aut, f, matrix_exact, seeds=None, k_max=40):
     """word_growth_rate given aut's rose map f and check_train_track(f)."""
+    import numpy as np
+
     if k_max < 8:
         raise ValueError("k_max must be at least 8")
     if seeds is None:
         seeds = [(i + 1,) for i in range(aut.rank)]
-    m = transition_matrix(f).entries.astype(float)
+    m = np.array(transition_matrix(f).entries, dtype=float)
     best = 0.0
     for seed in seeds:
         w = cyclic_reduce(seed)

@@ -542,10 +542,18 @@ def _graph_from_json(data, ints):
 
 
 def _renumbered(path, emap):
-    """A path of signed JSON edge ids as a path of the graph's edge ids."""
+    """A path of signed JSON edge ids as a path of the graph's edge ids.
+
+    A positive letter is its edge forward and a negative one the reverse of
+    its negation.  A letter that names no single edge direction is refused:
+    zero (0, 0.0, false), and a negative letter that is itself an edge id."""
     out = []
     for a in path:
         try:
+            if a == 0 or a < 0 and a in emap:
+                raise StructuralError(
+                    "word names the letter %r, which does not name exactly "
+                    "one edge direction of the file" % (a,))
             out.append(emap[a] if a > 0 else -emap[-a])
         except (KeyError, TypeError):
             raise StructuralError(

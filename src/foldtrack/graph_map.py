@@ -8,6 +8,7 @@ product inequalities are stated against.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import StructuralError
 from .graph import (
@@ -20,7 +21,7 @@ from .words import reduce_word
 __all__ = [
     "GraphMap", "make_graph_map", "identity_map", "apply_path", "compose",
     "tighten_map", "map_length", "edgelet_count", "gate_count", "direction_map",
-    "TransitionMatrix", "transition_matrix", "transition_rows", "submatrix",
+    "TransitionMatrix", "transition_matrix", "submatrix",
     "is_supported_on", "respects_filtration", "is_marking_respecting",
     "subdivide", "restrict",
 ]
@@ -206,12 +207,12 @@ def _simplicial_homeo_on(f, edges, cod_edges, allow_identify):
 
 # -- transition matrices -------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class TransitionMatrix:
+class TransitionMatrix(NamedTuple):
     """Nonnegative integer occurrence matrix, codomain edges x domain edges,
-    with indices ordered so higher filtration levels get larger indices."""
+    as rows of Python ints, with indices ordered so higher filtration levels
+    get larger indices."""
 
-    entries: "np.ndarray"
+    entries: list
     row_edges: tuple
     col_edges: tuple
     row_levels: tuple = None
@@ -220,55 +221,35 @@ class TransitionMatrix:
 
 def _edge_order(g):
     if g.filtration is None:
-        return list(g.edge_ids), None
-    order = sorted(g.edge_ids, key=lambda e: (edge_level(g, e), e))
+        return tuple(g.edge_ids), None
+    order = tuple(sorted(g.edge_ids, key=lambda e: (edge_level(g, e), e)))
     return order, tuple(edge_level(g, e) for e in order)
 
 
 def transition_matrix(f):
-    import numpy as np
-
-    row_edges, row_levels = _edge_order(f.codomain)
-    col_edges, col_levels = _edge_order(f.domain)
-    m = np.array(_occurrences(f, row_edges, col_edges), dtype=np.int64)
-    return TransitionMatrix(m.reshape(len(row_edges), len(col_edges)),
-                            tuple(row_edges), tuple(col_edges), row_levels,
-                            col_levels)
-
-
-def transition_rows(f):
-    """The entries of transition_matrix(f) as rows of Python ints, with its
-    row and column edge orders; no numpy.  A map whose domain is its
-    codomain (a rose self map: one rose graph per rank) orders once."""
-    row_edges = _edge_order(f.codomain)[0]
-    col_edges = (row_edges if f.domain is f.codomain
-                 else _edge_order(f.domain)[0])
-    return (_occurrences(f, row_edges, col_edges), tuple(row_edges),
-            tuple(col_edges))
-
-
-def _occurrences(f, row_edges, col_edges):
-    """rows[i][j]: how often the image of col_edges[j] crosses row_edges[i]."""
+    """M(f): entries[i][j] counts how often the image of col_edges[j]
+    crosses row_edges[i].  A map whose domain is its codomain (a rose self
+    map: one rose graph per rank) orders its edges once."""
+    row_edges, row_levels = order = _edge_order(f.codomain)
+    col_edges, col_levels = (order if f.domain is f.codomain
+                             else _edge_order(f.domain))
     rindex = {e: i for i, e in enumerate(row_edges)}
-    rows = [[0] * len(col_edges) for _ in row_edges]
+    entries = [[0] * len(col_edges) for _ in row_edges]
     for j, e in enumerate(col_edges):
         for d in f.edge_map[e - 1]:
-            rows[rindex[abs(d)]][j] += 1
-    return rows
+            entries[rindex[abs(d)]][j] += 1
+    return TransitionMatrix(entries, row_edges, col_edges, row_levels,
+                            col_levels)
 
 
 def submatrix(tm, r, s):
     """M_rs: the block of rows/columns whose levels lie in [r, s]."""
-    import numpy as np
-
     if tm.row_levels is None or tm.col_levels is None:
         raise ValueError("submatrix requires a filtered transition matrix")
     ri = [i for i, l in enumerate(tm.row_levels) if r <= l <= s]
     ci = [i for i, l in enumerate(tm.col_levels) if r <= l <= s]
-    m = tm.entries[np.ix_(ri, ci)] if ri and ci else \
-        np.zeros((len(ri), len(ci)), dtype=np.int64)
     return TransitionMatrix(
-        m,
+        [[tm.entries[i][j] for j in ci] for i in ri],
         tuple(tm.row_edges[i] for i in ri),
         tuple(tm.col_edges[i] for i in ci),
         tuple(tm.row_levels[i] for i in ri),

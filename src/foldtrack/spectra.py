@@ -9,10 +9,10 @@ components, topologically ordered; each diagonal block is irreducible or a
 
 import math
 from dataclasses import dataclass
-from itertools import groupby, zip_longest
+from itertools import chain, groupby, zip_longest
 
 from .errors import NumericError
-from .graph_map import compose, tighten_map, transition_rows
+from .graph_map import compose, tighten_map, transition_matrix
 
 __all__ = [
     "lc", "l_total", "mlog", "BlockStructure", "block_structure", "pf_value",
@@ -22,19 +22,13 @@ __all__ = [
 
 
 def lc(m):
-    """Largest coefficient of a matrix (0 for empty)."""
-    import numpy as np
-
-    m = np.asarray(m)
-    return int(m.max(initial=0))
+    """Largest coefficient of a nonnegative matrix (0 for empty)."""
+    return max([0, *chain.from_iterable(_entries(m))])
 
 
 def l_total(m):
     """Sum of all entries."""
-    import numpy as np
-
-    m = np.asarray(m)
-    return int(m.sum())
+    return sum(map(sum, _entries(m)))
 
 
 def mlog(c):
@@ -57,9 +51,15 @@ class BlockStructure:
     order: tuple         # concatenated index order (filtration-compatible)
 
 
+def _entries(m):
+    """A matrix (rows, or a numpy array) as a list of rows of Python
+    numbers."""
+    return m.tolist() if hasattr(m, "tolist") else [list(r) for r in m]
+
+
 def _rows(m):
     """A square matrix as a list of rows of Python numbers."""
-    rows = m.tolist() if hasattr(m, "tolist") else [list(r) for r in m]
+    rows = _entries(m)
     if any(not isinstance(r, list) or len(r) != len(rows) for r in rows):
         raise ValueError("expected a square matrix")
     return rows
@@ -304,7 +304,8 @@ def maximal_invariant_filtration(f):
     edge-id blocks, their BlockStructure, the transition matrix as rows)."""
     if f.domain.edge_ends != f.codomain.edge_ends:
         raise ValueError("maximal filtration needs a self map")
-    rows, _, col_edges = transition_rows(f)
+    tm = transition_matrix(f)
+    rows, col_edges = tm.entries, tm.col_edges
     bs = _blocks(rows)
     # Order rows/cols by the condensation; col_edges == row_edges for self maps.
     blocks_edges = tuple(tuple(col_edges[i] for i in b) for b in bs.blocks)

@@ -261,7 +261,7 @@ def test_experiment_errors_stay_in_their_rows(monkeypatch, tmp_path,
     ERROR, and every other row is byte-identical to an unpatched run."""
     from foldtrack import automorphisms, cli, spectra
     from foldtrack.errors import CertificationError, NumericError
-    from foldtrack.graph_map import transition_rows
+    from foldtrack.graph_map import transition_matrix
 
     def run(name):
         out = tmp_path / name
@@ -271,7 +271,7 @@ def test_experiment_errors_stay_in_their_rows(monkeypatch, tmp_path,
         return out.read_text().splitlines()
 
     def eg_blocks(f, spectrum):
-        rows = transition_rows(f)[0]
+        rows = transition_matrix(f).entries
         return [tuple(tuple(rows[i - 1][j - 1] for j in e.block_edges)
                       for i in e.block_edges) for e in spectrum.entries]
 

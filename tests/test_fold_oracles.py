@@ -331,7 +331,7 @@ def ref_controlled_inverse(source, records, theta_inv):
         g = tighten_map(compose(record.inverse, g))
 
     def lc_of(m):
-        return int(transition_matrix(m).entries.max(initial=0))
+        return int(np.max(transition_matrix(m).entries, initial=0))
 
     stage_lcs = [lc_of(r.inverse) for r in records] + [lc_of(theta_inv)]
     k = len(stage_lcs)

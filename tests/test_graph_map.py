@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,23 +58,57 @@ def test_compose_examples(rose2, fibonacci):
     assert ff.edge_map == ((1, 2, 1), (1, 2))
 
 
+def int_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
 def test_transition_matrix_multiplicativity(rose2, fibonacci):
+    """M(f2 f1) = M(f2) M(f1) in int arithmetic, on Fibonacci and on rose
+    maps of seeded random automorphisms of ranks 2-4 over a rose filtered
+    in a random edge order; each stratum block of submatrix holds the
+    occurrence counts of its edges in level order."""
+    from foldtrack.automorphisms import (
+        random_automorphism, rose_graph, rose_representative,
+    )
     m = transition_matrix(fibonacci).entries
-    assert (m == np.array([[1, 1], [1, 0]])).all()
+    assert m == [[1, 1], [1, 0]]
     ff = compose(fibonacci, fibonacci)
-    assert (transition_matrix(ff).entries == m @ m).all()
+    assert transition_matrix(ff).entries == int_product(m, m)
     # tightening only shrinks entries
     g = make_graph_map(rose2, rose2, (0,), [(1, -1, 2), (2,)])
-    tg = tighten_map(g)
-    assert (transition_matrix(tg).entries <= transition_matrix(g).entries).all()
+    tight = transition_matrix(tighten_map(g)).entries
+    loose = transition_matrix(g).entries
+    assert all(x <= y for r, s in zip(tight, loose) for x, y in zip(r, s))
+    rng = np.random.default_rng(25)
+    for n in (2, 3, 4) * 5:
+        order = [int(e) for e in rng.permutation(n) + 1]
+        g = rose_graph(n).with_filtration(
+            [order[:k] for k in range(1, n + 1)])
+        f1, f2 = (make_graph_map(g, g, (0,), rose_representative(
+            random_automorphism(n, 6, rng)).edge_map) for _ in range(2))
+        f21 = compose(f2, f1)
+        m1, m2, m21 = map(transition_matrix, (f1, f2, f21))
+        for tm in (m1, m2, m21):
+            assert all(type(x) is int for row in tm.entries for x in row)
+        assert m21.entries == int_product(m2.entries, m1.entries)
+        for r in range(1, n + 1):
+            for s in range(r, n + 1):
+                edges = order[r - 1:s]
+                images = [[abs(d) for d in f21.edge_map[b - 1]]
+                          for b in edges]
+                block = submatrix(m21, r, s)
+                assert block.row_edges == block.col_edges == tuple(edges)
+                assert block.entries == [[image.count(a) for image in images]
+                                         for a in edges]
 
 
 def test_transition_matrix_identity_and_collapse(rose2):
     ident = identity_map(rose2)
-    assert (transition_matrix(ident).entries == np.eye(2, dtype=int)).all()
+    assert transition_matrix(ident).entries == [[1, 0], [0, 1]]
     collapsed = make_graph_map(rose2, rose2, (0,), [(), (2,)])
     m = transition_matrix(collapsed).entries
-    assert (m[:, 0] == 0).all()
+    assert [row[0] for row in m] == [0, 0]
 
 
 def test_tighten_map_examples(rose2):
@@ -118,9 +153,9 @@ def test_submatrix(rose2):
     tm = transition_matrix(f)
     assert tm.row_levels == (1, 2) and tm.col_levels == (1, 2)
     low = submatrix(tm, 1, 1)
-    assert low.entries.shape == (1, 1) and low.entries[0, 0] == 1
+    assert low.entries == [[1]]
     top = submatrix(tm, 2, 2)
-    assert top.entries[0, 0] == 1
+    assert top.entries == [[1]]
     with pytest.raises(ValueError):
         submatrix(transition_matrix(identity_map(rose2)), 1, 1)
 
@@ -237,17 +272,42 @@ def test_map_json_reads_the_graphs_json_ids(fibonacci, vertex_ids, edge_ids):
     assert map_from_json(data) == dense
 
 
-@pytest.mark.parametrize("edit, letter", [
-    (lambda d: d["domain"].update(marking=[[7], [8]]), 8),
-    (lambda d: d["edge_map"].update({"7": [-8]}), -8),
-], ids=["graph-marking", "map-image"])
-def test_map_json_names_a_letter_outside_the_ids(fibonacci, edit, letter):
-    """A marking letter or image letter that is no edge id of the file is
-    named as the file writes it, not against the graph's ids 1..E."""
-    data = renumbered_map_json(fibonacci, {0: 0}, {1: 7, 2: 9})
+def _drop_markings(data):
+    for side in ("domain", "codomain"):
+        del data[side]["marking"]
+
+
+NO_EDGE_ID = "is no signed edge id of the file"
+NO_DIRECTION = "does not name exactly one edge direction of the file"
+
+
+@pytest.mark.parametrize("edge_ids, edit, letter, reason", [
+    ({1: 7, 2: 9}, lambda d: d["domain"].update(marking=[[7], [8]]), 8,
+     NO_EDGE_ID),
+    ({1: 7, 2: 9}, lambda d: d["edge_map"].update({"7": [-8]}), -8,
+     NO_EDGE_ID),
+    ({1: 0, 2: 1}, lambda d: None, 0, NO_DIRECTION),
+    ({1: 0, 2: 1}, lambda d: d["domain"].update(marking=[[False], [1]]),
+     False, NO_DIRECTION),
+    ({1: 0, 2: 1}, lambda d: d["domain"].update(marking=[[0.0], [1]]), 0.0,
+     NO_DIRECTION),
+    ({1: 3, 2: -3}, lambda d: None, -3, NO_DIRECTION),
+    ({1: 7, 2: 9}, lambda d: d["edge_map"].update({"7": [False]}), 0,
+     NO_DIRECTION),
+    ({1: 3, 2: -3}, _drop_markings, -3, NO_DIRECTION),
+], ids=["graph-marking", "map-image", "graph-zero", "graph-false",
+        "graph-float-zero", "graph-negative-id", "map-false",
+        "map-negative-id"])
+def test_map_json_names_a_letter_outside_the_ids(fibonacci, edge_ids, edit,
+                                                 letter, reason):
+    """A marking letter or image letter that is no edge id of the file, or
+    that names no single edge direction (zero, or a negative letter that is
+    itself an edge id), is named as the file writes it, not against the
+    graph's ids 1..E."""
+    data = renumbered_map_json(fibonacci, {0: 0}, edge_ids)
     edit(data)
-    with pytest.raises(StructuralError, match="the letter %d, which is no "
-                       "signed edge id of the file" % letter):
+    with pytest.raises(StructuralError, match=re.escape(
+            "the letter %r, which %s" % (letter, reason))):
         map_from_json(data)
 
 

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +27,35 @@ def test_lc_l_mlog():
     assert mlog(1) == 1.0
     assert math.isclose(mlog(math.e ** 2), 2.0)
     assert mlog(0) == 1.0
+
+
+_MATRIX_LAYER = """
+import sys
+from foldtrack.graph import make_graph
+from foldtrack.graph_map import make_graph_map, submatrix, transition_matrix
+from foldtrack.spectra import (
+    block_structure, l_total, lc, maximal_invariant_filtration, period,
+)
+g = make_graph(1, [(0, 0)] * 3, 0, filtration=[{1}, {1, 2, 3}])
+f = make_graph_map(g, g, (0,), [(1,), (2, 3), (2,)])
+tm = transition_matrix(f)
+assert tm.entries == [[1, 0, 0], [0, 1, 1], [0, 1, 0]]
+top = submatrix(tm, 2, 2).entries
+assert (lc(tm.entries), l_total(tm.entries), period(top)) == (1, 4, 1)
+assert block_structure(tm.entries).blocks == ((0,), (1, 2))
+assert maximal_invariant_filtration(f)[0] == ((1,), (2, 3))
+print("numpy" in sys.modules)
+"""
+
+
+def test_matrix_layer_loads_no_numpy():
+    """Transition matrices, their submatrices, LC, L, block structure,
+    periods and the maximal invariant filtration are computed on Python
+    ints, in a fresh process that never imports numpy."""
+    proc = subprocess.run([sys.executable, "-c", _MATRIX_LAYER],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_block_structure_examples():

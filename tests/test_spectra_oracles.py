@@ -111,14 +111,15 @@ def ref_pf_value(m):
 
 def ref_gamma(f):
     tm = transition_matrix(f)
-    bs = ref_block_structure(tm.entries)
+    m = np.array(tm.entries, dtype=np.int64)
+    bs = ref_block_structure(m)
     blocks_edges = tuple(tuple(tm.col_edges[i] for i in b) for b in bs.blocks)
     entries = []
     for level, (idx, kind, edges) in enumerate(
             zip(bs.blocks, bs.kinds, blocks_edges), start=1):
         if kind == "zero":
             continue
-        sub = tm.entries[np.ix_(idx, idx)]
+        sub = m[np.ix_(idx, idx)]
         if ref_is_permutation_cycle(sub):
             continue
         lam, p = ref_pf_and_period(sub)
