@@ -6,10 +6,13 @@ to process, 3 internal invariant violation (a lemma inequality failing is a
 bug, not a data condition).
 Set FOLDTRACK_LOG=DEBUG for diagnostics.
 
-numpy is imported where a command first computes with it, not here:
-`spectrum`, `ratio`, `experiment` and `audit` load it for eigenvalues, the
-growth cross-check and the experiment's Philox streams; `metric` and `invert`
-never do.  The process pool loads only for `experiment --jobs` above 1.
+Each command imports the layers and numpy where it first computes with
+them, not here, so importing this module loads only the standard library
+and `errors`.  `metric` loads the graph, word, graph-map and metric layers
+and never the automorphism, folding or spectra layers; `spectrum`, `ratio`,
+`experiment` and `audit` load numpy for eigenvalues, the growth cross-check
+and the experiment's Philox streams; `metric` and `invert` never do.  The
+process pool loads only for `experiment --jobs` above 1.
 """
 
 import argparse
@@ -20,17 +23,7 @@ import os
 import sys
 from concurrent import futures
 
-from .automorphisms import (
-    check_train_track, expansion_pairs, expansion_report, fold_inverse,
-    format_automorphism, normalize_outer, parse_automorphism,
-    rose_representative, trial_automorphisms,
-)
 from .errors import CapacityError, CertificationError, FoldtrackError, StructuralError
-from .folding import clean_factorize, controlled_inverse, inverse_stats
-from .graph import graph_to_json, load_graph
-from .graph_map import map_from_json, map_to_json
-from .metric import _estimates
-from .spectra import gamma_hat, spectrum_report
 
 log = logging.getLogger("foldtrack")
 
@@ -76,6 +69,11 @@ def _emit_json(data, out=None):
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args):
+    from .automorphisms import (
+        check_train_track, normalize_outer, parse_automorphism,
+        rose_representative,
+    )
+    from .spectra import gamma_hat, spectrum_report
     aut = parse_automorphism(args.automorphism)
     f = rose_representative(normalize_outer(aut))
     report = spectrum_report(gamma_hat(f), certified=check_train_track(f))
@@ -84,6 +82,7 @@ def cmd_spectrum(args):
 
 
 def _factorization_dump(fact):
+    from .graph import graph_to_json
     stages = []
     for i, record in enumerate(fact.records, start=1):
         stages.append({
@@ -102,6 +101,9 @@ def _factorization_dump(fact):
 
 
 def cmd_invert(args):
+    from .automorphisms import fold_inverse, format_automorphism, parse_automorphism
+    from .folding import clean_factorize, controlled_inverse, inverse_stats
+    from .graph_map import map_from_json, map_to_json
     if os.path.exists(args.input):
         with open(args.input, encoding="utf-8") as fh:
             f = map_from_json(json.load(fh))
@@ -133,6 +135,7 @@ def cmd_invert(args):
 
 
 def cmd_ratio(args):
+    from .automorphisms import expansion_report, parse_automorphism
     aut = parse_automorphism(args.automorphism)
     report = expansion_report(aut, k_max=args.kmax)
     _emit_json(report, args.out)
@@ -148,6 +151,7 @@ def _experiment_chunk(params):
     """Result tuples of trials start..stop-1: every automorphism is drawn
     from its trial's own Philox stream first, then expansion_pairs runs on
     the whole chunk."""
+    from .automorphisms import expansion_pairs, format_automorphism, trial_automorphisms
     seed, start, stop, rank, length = params
     auts = trial_automorphisms(rank, length, seed, range(start, stop))
     rows = []
@@ -209,6 +213,7 @@ def cmd_audit(args):
         gates_suite, largest_bounds_suite, matrix_pair_suite, pg_suite,
         reducibility_agreement_suite, twist_metric_rows,
     )
+    from .graph import load_graph
     _check_nonnegative(args, "trials", "budget")
     failures = 0
     suites = [
@@ -247,6 +252,8 @@ def cmd_audit(args):
 
 
 def cmd_metric(args):
+    from .graph import load_graph
+    from .metric import _estimates
     graphs = [load_graph(p) for p in args.graphs]
     lines = ["src\tdst\td_upper\twitness_total_length\tmethod"]
     for i, j, est in _estimates(graphs):
@@ -315,8 +322,9 @@ def _parser():
     """The parser `main` uses, built on its first call in a process.
 
     The `func` defaults bind each `cmd_*` function once, so a test patches
-    what a command calls (a module global read at call time), not the
-    command function itself."""
+    what a command calls, not the command function itself: a library
+    function in its own module, which the command's function-level import
+    reads at call time, or `futures` and `os` here."""
     return build_parser()
 
 

@@ -512,6 +512,13 @@ def _graph_from_json(data, ints):
         emap = {e: i for i, e in enumerate(ids, start=1)}
         if len(emap) != len(ids):
             raise StructuralError("duplicate edge id in graph JSON")
+        # with ids e and -e, the letter -e names no single edge direction,
+        # so the edge -e could be named in no word
+        for e in ids:
+            if isinstance(e, (int, float)) and e > 0 and -e in emap:
+                raise StructuralError(
+                    "edge ids %r and %r of the graph JSON are one letter "
+                    "and its inverse" % (e, -e))
         ends = [(vmap[d["from"]], vmap[d["to"]]) for d in edges]
         marking = data.get("marking")
         same = ids == list(range(1, len(ids) + 1)) and _all_ints(ids)

@@ -562,12 +562,10 @@ def test_import_builds_no_parser():
 
 def test_numeric_stack_loads_only_where_a_command_computes(tmp_path):
     """In a fresh process (pytest's own already holds numpy): importing the
-    CLI loads every foldtrack module the commands use but neither numpy nor
-    the process pool; `metric` and both forms of `invert` run without
-    numpy, and `spectrum` loads it."""
-    import pkgutil
-
-    import foldtrack
+    CLI loads no library layer, neither numpy nor the process pool; `metric`
+    loads the graph, word, graph-map and metric layers and no automorphism,
+    folding or spectra layer; `metric` and both forms of `invert` run
+    without numpy, and `spectrum` loads it."""
     from foldtrack.graph import dump_graph
     from foldtrack.metric import twist_family
     paths = [tmp_path / "g0.json", tmp_path / "gm.json"]
@@ -580,9 +578,11 @@ def test_numeric_stack_loads_only_where_a_command_computes(tmp_path):
         "heavy = ('numpy', 'multiprocessing', 'concurrent.futures.process')\n"
         "def loaded():\n"
         "    return [m for m in heavy if m in sys.modules]\n"
+        "def layers():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] == 'foldtrack')\n"
         "import foldtrack.cli as cli\n"
-        "report = {'import': loaded(), 'modules': sorted(\n"
-        "    m for m in sys.modules if m.split('.')[0] == 'foldtrack')}\n"
+        "report = {'import': loaded(), 'modules': layers()}\n"
         "def run(*argv):\n"
         "    out = io.StringIO()\n"
         "    with contextlib.redirect_stdout(out):\n"
@@ -590,6 +590,7 @@ def test_numeric_stack_loads_only_where_a_command_computes(tmp_path):
         "    return out.getvalue()\n"
         "g0, gm, fmap, dump = sys.argv[1:]\n"
         "run('metric', g0, gm)\n"
+        "report['metric_modules'] = layers()\n"
         "run('invert', 'a->ab, b->a', '--out', dump)\n"
         "run('invert', fmap)\n"
         "report['metric_invert'] = loaded()\n"
@@ -603,11 +604,11 @@ def test_numeric_stack_loads_only_where_a_command_computes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["import"] == []
-    lazy = {"audits", "reducibility", "__main__"}
-    assert report["modules"] == sorted(
-        ["foldtrack"] + ["foldtrack." + m.name for m in
-                         pkgutil.iter_modules(foldtrack.__path__)
-                         if m.name not in lazy])
+    assert report["modules"] == ["foldtrack", "foldtrack.cli",
+                                 "foldtrack.errors"]
+    assert report["metric_modules"] == sorted(
+        report["modules"] + ["foldtrack." + m for m in
+                             ("graph", "graph_map", "metric", "words")])
     assert report["metric_invert"] == []
     assert "numpy" in report["after_spectrum"]
     assert abs(report["spectrum"]["gamma_hat"][0]["lambda"] - 1.6180339887) < 1e-8

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foldtrack import cli
 from foldtrack.errors import StructuralError
-from foldtrack.graph import make_graph, rank
+from foldtrack.graph import load_graph, make_graph, rank
 from foldtrack.graph_map import (
     apply_path, compose, edgelet_count, gate_count, identity_map,
     is_marking_respecting, is_supported_on, make_graph_map, map_from_json,
@@ -291,10 +293,10 @@ NO_DIRECTION = "does not name exactly one edge direction of the file"
      False, NO_DIRECTION),
     ({1: 0, 2: 1}, lambda d: d["domain"].update(marking=[[0.0], [1]]), 0.0,
      NO_DIRECTION),
-    ({1: 3, 2: -3}, lambda d: None, -3, NO_DIRECTION),
+    ({1: 2, 2: -3}, lambda d: None, -3, NO_DIRECTION),
     ({1: 7, 2: 9}, lambda d: d["edge_map"].update({"7": [False]}), 0,
      NO_DIRECTION),
-    ({1: 3, 2: -3}, _drop_markings, -3, NO_DIRECTION),
+    ({1: 2, 2: -3}, _drop_markings, -3, NO_DIRECTION),
 ], ids=["graph-marking", "map-image", "graph-zero", "graph-false",
         "graph-float-zero", "graph-negative-id", "map-false",
         "map-negative-id"])
@@ -308,6 +310,41 @@ def test_map_json_names_a_letter_outside_the_ids(fibonacci, edge_ids, edit,
     edit(data)
     with pytest.raises(StructuralError, match=re.escape(
             "the letter %r, which %s" % (letter, reason))):
+        map_from_json(data)
+
+
+OPPOSED_IDS = "edge ids 3 and -3 of the graph JSON are one letter and its inverse"
+
+
+def _opposed_ids_file(tmp_path, marking):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "rank": 2, "vertices": [0], "basepoint": 0,
+        "edges": [{"id": e, "from": 0, "to": 0} for e in (3, -3)],
+        "marking": marking}))
+    return str(path)
+
+
+@pytest.mark.parametrize("marking", [[[3], [-3]], [[3], [3]]])
+def test_graph_file_refuses_an_edge_id_and_its_negation(tmp_path, marking):
+    """With edge ids 3 and -3 the letter -3 names no single edge direction,
+    so the edge -3 could be named in no word: the file is refused at its
+    ids, whichever marking it holds."""
+    with pytest.raises(StructuralError, match=re.escape(OPPOSED_IDS)):
+        load_graph(_opposed_ids_file(tmp_path, marking))
+
+
+def test_metric_refuses_an_edge_id_and_its_negation(tmp_path, capsys):
+    path = _opposed_ids_file(tmp_path, [[3], [3]])
+    assert cli.main(["metric", path, path]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % OPPOSED_IDS
+
+
+@pytest.mark.parametrize("side", ["domain", "codomain"])
+def test_map_json_refuses_an_edge_id_and_its_negation(fibonacci, side):
+    data = map_to_json(fibonacci)
+    data[side] = renumbered_map_json(fibonacci, {0: 0}, {1: 3, 2: -3})[side]
+    with pytest.raises(StructuralError, match=re.escape(OPPOSED_IDS)):
         map_from_json(data)
 
 
