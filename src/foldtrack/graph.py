@@ -575,7 +575,8 @@ def load_graph(path):
     The decoder notes each number that is not an int (a float, NaN or an
     infinity).  When it meets none and the text holds neither true nor
     false, every number in the file is an int, and the marking letters are
-    not read again for their types."""
+    not read again for their types.  A text without the letter u (l) holds
+    no true (false), and one-character searches run at memchr speed."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     other = []
@@ -585,7 +586,8 @@ def load_graph(path):
         return float(s)
 
     data = json.loads(text, parse_float=noted, parse_constant=noted)
-    ints = not other and "true" not in text and "false" not in text
+    ints = (not other and ("u" not in text or "true" not in text)
+            and ("l" not in text or "false" not in text))
     return _graph_from_json(data, ints)[0]
 
 

@@ -20,7 +20,8 @@ _PLATEAU_STATE_CAP = 200_000
 WORD_LENGTH_CAP = 50_000_000
 
 # Words up to this length are reduced letter by letter: setting up the
-# scan for a cancelling pair costs more than the loop.
+# scan for a cancelling pair costs more than the loop.  Runs of up to this
+# many one-letter blocks are galloped, not counted over the whole word.
 _SHORT_WORD = 64
 
 
@@ -131,23 +132,41 @@ def _common_suffix(u, v):
 
 def _suffix_repeats(w, block, most=None):
     """Max r with w ending in block repeated r times, and r <= most if
-    given."""
+    given.
+
+    A one-letter block x, when more than _SHORT_WORD repeats may count, is
+    counted in C: when x does not occur before the last c = w.count(x)
+    letters, those letters are the run.  Otherwise, and for longer blocks,
+    the run is galloped."""
     b = len(block)
     if b == 0:
         return 0
     end = len(w)
     n = end // b if most is None else min(end // b, most)
+    if b == 1 and n > _SHORT_WORD:
+        c = w.count(block[0])
+        try:
+            w.index(block[0], 0, end - c)
+        except ValueError:
+            return min(c, n)
     return _longest(n, lambda lo, hi:
                     w[end - hi * b:end - lo * b] == block * (hi - lo))
 
 
 def _prefix_repeats(w, block, most=None):
     """Max r with w starting with block repeated r times, and r <= most if
-    given."""
+    given; a one-letter block is counted as in _suffix_repeats, when x does
+    not occur after the first c = w.count(x) letters."""
     b = len(block)
     if b == 0:
         return 0
     n = len(w) // b if most is None else min(len(w) // b, most)
+    if b == 1 and n > _SHORT_WORD:
+        c = w.count(block[0])
+        try:
+            w.index(block[0], c)
+        except ValueError:
+            return min(c, n)
     return _longest(n, lambda lo, hi:
                     w[lo * b:hi * b] == block * (hi - lo))
 
@@ -171,10 +190,6 @@ def cyclic_reduce(w):
     w = reduce_word(w)
     k = _cancellation(w, w)
     return w[k:len(w) - k] if k else w
-
-
-def cyclic_length(w):
-    return len(cyclic_reduce(w))
 
 
 def conjugate(w, u):

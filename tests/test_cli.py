@@ -435,8 +435,12 @@ def test_metric_reads_each_twist_letter_without_a_type_pass(monkeypatch,
     """`metric` on two twist files, as the benchmark writes them: the
     decoder proves every letter an int, and each path's letter set proves
     it reduced, so no marking path goes through _all_ints or
-    reduce_word."""
+    reduce_word.  The loader searches the text for true (false) only when
+    it holds a u (an l): files with those letters give the graph
+    graph_from_json gives, and letters true and false still go through
+    the type pass."""
     from foldtrack import cli, graph, words
+    from foldtrack.errors import StructuralError
     markings = ([[1], [2]], [[1], [2] + [-1] * 100])
     paths = []
     for i, marking in enumerate(markings):
@@ -455,6 +459,33 @@ def test_metric_reads_each_twist_letter_without_a_type_pass(monkeypatch,
     assert cli.main(["metric", *paths, "--out", str(tmp_path / "d.tsv")]) == 0
     marking_paths = {tuple(p) for marking in markings for p in marking}
     assert marking_paths.isdisjoint(read)
+
+    def outcome(read_graph, arg):
+        try:
+            return read_graph(arg)
+        except StructuralError as exc:
+            return str(exc)
+
+    rose = {"rank": 2, "vertices": [0], "basepoint": 0,
+            "edges": [{"id": e, "from": 0, "to": 0} for e in (1, 2)]}
+    cases = [  # (file, whether its marking goes through the type pass)
+        (dict(rose, marking=[[True], [2, -1, -1]]), True),
+        (dict(rose, marking=[[1], [2, False]]), True),
+        (dict(rose, marking=[[1], [2, 1, 1]], filtration=[[1], [1, 2]]),
+         False),
+        (dict(rose, marking=[[1], [2, 1, 1, 1]], vertices=["hub_l"],
+              basepoint="hub_l",
+              edges=[{"id": e, "from": "hub_l", "to": "hub_l"}
+                     for e in (1, 2)]), False),
+    ]
+    for i, (data, typed) in enumerate(cases):
+        path = tmp_path / ("x%d.json" % i)
+        path.write_text(json.dumps(data))
+        with open(path, encoding="utf-8") as fh:
+            want = outcome(graph.graph_from_json, json.load(fh))
+        read.clear()
+        assert outcome(graph.load_graph, path) == want
+        assert (tuple(data["marking"][1]) in read) == typed
 
 
 def test_metric_reads_and_writes_utf8_in_the_c_locale(tmp_path):

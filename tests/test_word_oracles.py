@@ -29,7 +29,7 @@ from foldtrack.metric import difference_map, estimate_d, slide_normalize
 from foldtrack import words
 from foldtrack.words import (
     _SHORT_WORD, _apply_move, _cancellation, _check_letters, _invert_reduced,
-    _substitute_seams, _suffix_repeats, cyclic_reduce,
+    _prefix_repeats, _substitute_seams, _suffix_repeats, cyclic_reduce,
     invert_automorphism_words, invert_word, max_common_prefix, nielsen_reduce,
     reduce_word, substitute, substitute_reduced,
 )
@@ -101,6 +101,18 @@ def ref_suffix_repeats(w, block):
     while pos >= b and tuple(w[pos - b:pos]) == block:
         r += 1
         pos -= b
+    return r
+
+
+def ref_prefix_repeats(w, block):
+    b = len(block)
+    if b == 0:
+        return 0
+    r = 0
+    pos = 0
+    while pos + b <= len(w) and tuple(w[pos:pos + b]) == block:
+        r += 1
+        pos += b
     return r
 
 
@@ -524,11 +536,58 @@ def repeated_blocks(draw):
     return prefix + block * count, block
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(repeated_blocks(), st.tuples(any_words, blocks)))
-def test_suffix_repeats_matches_reference(pair):
+@st.composite
+def one_letter_runs(draw):
+    """(w, (x,)): w starts or ends with a run of x, whose length straddles
+    _SHORT_WORD or is far past it, or is 0; the run is the whole word, or
+    is followed (preceded) by a letter other than x and a tail that may
+    hold x again (then the count of x is no run, and the gallop counts
+    it)."""
+    x = draw(letters())
+    k = draw(st.one_of(st.integers(0, 3 * _SHORT_WORD),
+                       st.integers(_SHORT_WORD - 2, _SHORT_WORD + 2),
+                       st.integers(0, 12000)))
+    rest = ()
+    if draw(st.booleans()):
+        y = draw(letters().filter(lambda a: a != x))
+        tail = draw(st.one_of(short_words, long_words(max_repeat=200)))
+        if draw(st.booleans()):
+            cut = draw(st.integers(0, len(tail)))
+            tail = tail[:cut] + (x,) * draw(st.integers(1, 3)) + tail[cut:]
+        rest = (y,) + tail
+    w = (x,) * k + rest
+    return (w[::-1] if draw(st.booleans()) else w), (x,)
+
+
+def run_caps(w):
+    """A cap on the count of repeats: none, or one straddling _SHORT_WORD or
+    the word's length."""
+    return st.one_of(st.none(), st.integers(0, 3 * _SHORT_WORD),
+                     st.integers(0, len(w) + 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(repeated_blocks(), st.tuples(any_words, blocks),
+                 one_letter_runs()),
+       st.data())
+def test_suffix_repeats_matches_reference(pair, data):
     w, block = pair
-    assert _suffix_repeats(w, block) == ref_suffix_repeats(w, block)
+    most = data.draw(run_caps(w))
+    want = ref_suffix_repeats(w, block)
+    assert _suffix_repeats(w, block, most) == \
+        (want if most is None else min(want, most))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(repeated_blocks().map(lambda p: (p[0][::-1], p[1][::-1])),
+                 st.tuples(any_words, blocks), one_letter_runs()),
+       st.data())
+def test_prefix_repeats_matches_reference(pair, data):
+    w, block = pair
+    most = data.draw(run_caps(w))
+    want = ref_prefix_repeats(w, block)
+    assert _prefix_repeats(w, block, most) == \
+        (want if most is None else min(want, most))
 
 
 @settings(max_examples=50, deadline=None)
@@ -1009,6 +1068,25 @@ def test_twist_estimates_match_reference(labeling):
 def test_twist_move_logs_match_reference(labeling):
     ws = twist_graph(2000, *labeling).marking
     assert nielsen_reduce(ws) == ref_nielsen_reduce(ws)
+
+
+@pytest.mark.parametrize("m", [1, _SHORT_WORD, _SHORT_WORD + 1, 20000])
+@pytest.mark.parametrize("petal, sign, left", [
+    (1, 1, False), (1, 1, True), (1, -1, False), (1, -1, True),
+    (2, 1, False), (2, 1, True), (2, -1, False), (2, -1, True)])
+def test_twist_inverse_in_closed_form(petal, sign, left, m):
+    """The benchmark's twist marking x_t -> x_t x_o^(sign m) (or
+    x_o^(sign m) x_t) is inverted by x_t -> x_t x_o^(-sign m) (or its left
+    form), after one Nielsen move of count m."""
+    t, o = petal, 3 - petal
+    ws = [(1,), (2,)]
+    inverse = [(1,), (2,)]
+    power, back = (sign * o,) * m, (-sign * o,) * m
+    ws[t - 1] = power + (t,) if left else (t,) + power
+    inverse[t - 1] = back + (t,) if left else (t,) + back
+    assert _invert_reduced(ws) == tuple(inverse)
+    move = ("L" if left else "R", t - 1, o - 1, -sign, m)
+    assert nielsen_reduce(ws) == (((1,), (2,)), [move])
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from foldtrack.automorphisms import simultaneously_conjugate
 from foldtrack.errors import CertificationError
 from foldtrack.words import (
-    _descend, conjugate, cyclic_length, cyclic_reduce, generates_free_group,
+    _descend, conjugate, cyclic_reduce, generates_free_group,
     invert_automorphism_words, invert_word, nielsen_reduce, reduce_word,
     substitute_reduced,
 )
@@ -38,12 +38,13 @@ def test_cyclic_reduce_fixed_by_rotation_length(w):
     w = cyclic_reduce(w)
     if w:
         rotated = w[1:] + w[:1]
-        assert cyclic_length(rotated) <= len(rotated)
+        assert len(cyclic_reduce(rotated)) <= len(rotated)
 
 
 @given(words, words)
 def test_conjugate_preserves_cyclic_length(w, u):
-    assert cyclic_length(conjugate(w, u)) == cyclic_length(reduce_word(w))
+    assert (len(cyclic_reduce(conjugate(w, u)))
+            == len(cyclic_reduce(reduce_word(w))))
 
 
 def test_generates_standard_cases():
