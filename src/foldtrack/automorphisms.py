@@ -16,7 +16,7 @@ from .errors import (
     CapacityError, CertificationError, FoldtrackError, StructuralError,
 )
 from .folding import (
-    FoldFactorization, clean_factorize, controlled_inverse, factorize,
+    FoldFactorization, _factorize_tight, clean_factorize, controlled_inverse,
     inverse_stats,
 )
 from .graph import (
@@ -331,29 +331,36 @@ def stable_gates(f):
     """Partition of directions by eventual collision under iterated Df.
 
     Directions d, d' are in the same gate when Df^m(d) = Df^m(d') for some
-    m >= 1.  The kernel of Df^m only grows with m, so it is stable once m
-    reaches the number of directions: square Df up to such a power and group
-    once, mapping each direction to the least direction of its gate.
+    m >= 1: when their eventual images agree (_eventual_images).  Each
+    direction maps to the least direction of its gate.
     """
-    df = direction_map(f)
-    power = df
-    for _ in range(len(df).bit_length()):
-        power = {d: power.get(x, x) for d, x in power.items()}
+    power = _eventual_images(f)
     least = {}
-    return {d: least.setdefault(power[d], d) for d in sorted(df)}
+    return {d: least.setdefault(power[d], d) for d in sorted(power)}
+
+
+def _eventual_images(f):
+    """Df^m on the non-collapsed directions, as a dict, for an m at least
+    the number of directions.  The kernel of Df^m only grows with m, so it
+    is stable from there on: Df is squared up to such a power."""
+    power = direction_map(f)
+    for _ in range(len(power).bit_length()):
+        power = {d: power.get(x, x) for d, x in power.items()}
+    return power
 
 
 def check_train_track(f):
-    """True iff every turn crossed by some f(e) is legal (its two directions
-    lie in distinct stable gates), so iteration never cancels."""
-    gates = stable_gates(f)
-    for e in f.domain.edge_ids:
-        p = f.edge_map[e - 1]
+    """True iff every turn crossed by some f(e) is legal: no backtrack, and
+    its two directions lie in distinct stable gates (their eventual Df
+    images differ), so iteration never cancels.  A collapsed edge's
+    directions lie in no gate."""
+    at = _eventual_images(f).get
+    for p in f.edge_map:
         for d, d_next in zip(p, p[1:]):
-            x, y = -d, d_next
-            if x == y:
+            if d_next == -d:
                 return False
-            if gates.get(x) == gates.get(y) and x in gates and y in gates:
+            x = at(-d)
+            if x is not None and x == at(d_next):
                 return False
     return True
 
@@ -630,8 +637,9 @@ def expansion_pairs(auts):
     fold factorization of f, the inverse's normal form and its rose map;
     (2) Gamma-hat of all these rose maps in one gamma_hat_many batch; (3) the
     train-track check on both rose maps.  The images of an Automorphism are
-    reduced, so its rose map is tight as built.  An error stays with its own
-    automorphism."""
+    reduced and nonempty, so its rose map is tight as built and is folded
+    as it is, without factorize's tightening and collapsed-edge test.  An
+    error stays with its own automorphism."""
     results = [None] * len(auts)
     staged = []  # (position, phi, f, inverse, factorization, g, fi)
     maps = []    # f and fi of each staged automorphism, in turn
@@ -639,7 +647,7 @@ def expansion_pairs(auts):
         try:
             phi = normalize_outer(aut)
             f = rose_representative(phi)
-            fact = factorize(f)
+            fact = _factorize_tight(f)
             g = controlled_inverse(fact)
             inv = _inverse_of(g)
             fi = rose_representative(inv)

@@ -168,11 +168,6 @@ class FoldFactorization:
 # buf[lo:hi], read backwards and inverted when rev is set.  A fold cuts a
 # prefix off a view or turns it round without copying letters.
 
-def _oriented(view, d):
-    """The view of edge |d| read along the signed direction d."""
-    return view if d > 0 else (view[0], view[1], view[2], not view[3])
-
-
 def _letters(view, i, j):
     """Letters i..j-1 of a view, as a tuple."""
     buf, lo, hi, rev = view
@@ -325,10 +320,13 @@ class _FoldState:
         return other
 
     def _view(self, d):
-        return _oriented(self.img[abs(d) - 1], d)
+        """The view of edge |d|'s image read along the signed direction d."""
+        view = self.img[abs(d) - 1]
+        return view if d > 0 else (view[0], view[1], view[2], not view[3])
 
     def images(self):
-        return tuple(_letters(v, 0, v[2] - v[1]) for v in self.img)
+        return tuple([invert_word(buf[lo:hi]) if rev else buf[lo:hi]
+                      for buf, lo, hi, rev in self.img])
 
     def as_map(self, domain=None):
         """The current map; its domain is the bare graph unless given."""
@@ -355,37 +353,42 @@ class _FoldState:
         """(vertex, sorted directions) for each vertex and first image
         letter shared by two or more directions, by vertex and least
         direction: the first group holds the least candidate."""
+        groups = self._letter_groups().items()
+        shared = [(v, sorted(ds)) for (v, _), ds in groups if len(ds) > 1]
+        shared.sort()
+        return shared
+
+    def _letter_groups(self):
+        """The directions out of each vertex by the first letter of their
+        image, keyed (vertex, letter), edge by edge and e before -e."""
         groups = {}
+        img = self.img
         for e, (u, v) in enumerate(self.ends, start=1):
-            buf, lo, hi, rev = self.img[e - 1]
+            buf, lo, hi, rev = img[e - 1]
             if hi > lo:
                 a, b = buf[lo], -buf[hi - 1]
                 if rev:
                     a, b = b, a
                 groups.setdefault((u, a), []).append(e)
                 groups.setdefault((v, b), []).append(-e)
-        shared = [(v, ds) for (v, _), ds in groups.items() if len(ds) > 1]
-        for _, ds in shared:
-            ds.sort()
-        shared.sort()
-        return shared
+        return groups
 
     def spec(self, v, da, db):
         """Case classification and labelling of (e1, e2)."""
         a, b = self._view(da), self._view(db)
-        la, lb = a[2] - a[1], b[2] - b[1]
+        (bufa, loa, hia, reva), (bufb, lob, hib, revb) = a, b
+        la, lb = hia - loa, hib - lob
         n = min(la, lb)
-        # most shared prefixes are short: compare up to 8 letters at once,
-        # and gallop only past them
+        # most shared prefixes are short: compare up to 8 letters one by
+        # one, letter i of a view being sign * buf[start + sign * i], and
+        # gallop only past them
+        sa, ia = (-1, hia - 1) if reva else (1, loa)
+        sb, ib = (-1, hib - 1) if revb else (1, lob)
         k = min(n, 8)
-        pa, pb = _letters(a, 0, k), _letters(b, 0, k)
-        if pa != pb:
-            c = 0
-            while pa[c] == pb[c]:
-                c += 1
-        elif k == n:
-            c = n
-        else:
+        c = 0
+        while c < k and sa * bufa[ia + sa * c] == sb * bufb[ib + sb * c]:
+            c += 1
+        if c == 8 < n:
             c = _longest(n, lambda i, j: _letters(a, i, j) == _letters(b, i, j))
         if c == 0:
             raise StructuralError("directions do not share an image prefix")
@@ -421,12 +424,20 @@ class _FoldState:
     def next_fold(self):
         """find_fold's choice: the first candidate in sorted (v, d, d')
         order whose spec is not flagged case3-loop-at-v1, else the first
-        flagged one, else None."""
-        groups = self._groups()
-        if not groups:
+        flagged one, else None.  The first candidate pairs the two least
+        directions of the first group of _groups, the group least by
+        (vertex, least direction): the groups at a vertex hold disjoint
+        directions.  It is found without sorting the others."""
+        least = None
+        for (v, _), ds in self._letter_groups().items():
+            if len(ds) > 1:
+                key = v, min(ds)
+                if least is None or key < least:
+                    least, group = key, ds
+        if least is None:
             return None
-        v, ds = groups[0]
-        first = self.spec(v, ds[0], ds[1])
+        ds = sorted(group)
+        first = self.spec(least[0], ds[0], ds[1])
         if "case3-loop-at-v1" not in first.flags:
             return first
         for v, da, db in sorted(self.candidates()):
@@ -436,16 +447,15 @@ class _FoldState:
         return first
 
     def fold(self, spec):
-        """Make one fold and return its record.  Every check runs before
-        the state changes: the shared prefix, the graph move, the case-3
-        terminal images and the edgelet count."""
+        """Make one fold and return its record.  spec shares its prefix on
+        the current images (spec measured it, or apply_fold checked it).
+        Every other check runs before the state changes: the graph move,
+        the case-3 terminal images and the edgelet count."""
         d1, d2, case, c = spec.d1, spec.d2, spec.case, spec.prefix_len
         m1, m2 = abs(d1), abs(d2)
         img = self.img
         a, b = self._view(d1), self._view(d2)
         la, lb = a[2] - a[1], b[2] - b[1]
-        if _letters(a, 0, min(c, la)) != _letters(b, 0, min(c, lb)):
-            raise StructuralError("fold spec does not match the map")
         v0, v1, v2 = _fold_vertices(self.ends, spec)
         if case == 1:
             total = self.edgelets - c
@@ -585,6 +595,11 @@ def apply_fold(f, spec):
     point; a case-1 split point is absorbed into v2).
     """
     state = _FoldState(f.domain, f)
+    a, b = state._view(spec.d1), state._view(spec.d2)
+    c = spec.prefix_len
+    la, lb = a[2] - a[1], b[2] - b[1]
+    if _letters(a, 0, min(c, la)) != _letters(b, 0, min(c, lb)):
+        raise StructuralError("fold spec does not match the map")
     record = state.fold(spec)
     return record, state.as_map(record.graph_star)
 
@@ -629,14 +644,15 @@ def _embedding_inverse(f):
     twice and no vertex is met twice: by two vertex images, or by an
     interior vertex of a path and a vertex image or another interior
     vertex.  A path crossing no edge twice is reduced."""
-    g, h = f.domain, f.codomain
-    vmap = [None] * h.num_vertices
+    h_ends = f.codomain.edge_ends
+    vmap = [None] * f.codomain.num_vertices
     for v, w in enumerate(f.vertex_map):
         if vmap[w] is not None:
             return None
         vmap[w] = v
-    emap = [None] * h.num_edges
-    for e, path in enumerate(f.edge_map, start=1):
+    emap = [None] * len(h_ends)
+    for e, ((_, term), path) in enumerate(zip(f.domain.edge_ends, f.edge_map),
+                                          start=1):
         for d in path:
             if emap[abs(d) - 1] is not None:
                 return None
@@ -644,9 +660,8 @@ def _embedding_inverse(f):
         if path:
             first = path[0]
             emap[abs(first) - 1] = (e,) if first > 0 else (-e,)
-            term = g.term(e)
             for d in path[:-1]:
-                w = h.term(d)
+                w = h_ends[d - 1][1] if d > 0 else h_ends[-d - 1][0]
                 if vmap[w] is not None:
                     return None
                 vmap[w] = term
@@ -735,6 +750,13 @@ def factorize(f):
     if any(not p for p in f.edge_map):
         raise CertificationError(
             "cannot factor a map with collapsed edges", residual=f)
+    return _factorize_tight(f)
+
+
+def _factorize_tight(f):
+    """factorize of a tight map that collapses no edge, taking f as it is:
+    the rose map of an Automorphism is one, its images being reduced and
+    nonempty."""
     state = _FoldState(f.domain, f)
     _fold_greedily(state)
     records = state.records()
@@ -793,7 +815,11 @@ def _log(x):
 
 def _words(paths, ds):
     """The reduced product of the paths paths[|d|] = [deque, reversed] read
-    along each d of ds."""
+    along each d of ds.  The paths are reduced, so one is read as it is."""
+    if len(ds) == 1:
+        d = ds[0]
+        dq, rev = paths[abs(d) - 1]
+        return invert_word(dq) if (d < 0) != rev else tuple(dq)
     if not ds:
         return ()
     out = []

@@ -233,11 +233,13 @@ def transition_matrix(f):
     row_edges, row_levels = order = _edge_order(f.codomain)
     col_edges, col_levels = (order if f.domain is f.codomain
                              else _edge_order(f.domain))
-    rindex = {e: i for i, e in enumerate(row_edges)}
     entries = [[0] * len(col_edges) for _ in row_edges]
+    row_of = [None] * (len(row_edges) + 1)   # by codomain edge id
+    for e, row in zip(row_edges, entries):
+        row_of[e] = row
     for j, e in enumerate(col_edges):
         for d in f.edge_map[e - 1]:
-            entries[rindex[abs(d)]][j] += 1
+            row_of[abs(d)][j] += 1
     return TransitionMatrix(entries, row_edges, col_edges, row_levels,
                             col_levels)
 

@@ -89,23 +89,35 @@ def _blocks(rows):
         for k in range(n):
             if reach[k] & bit:
                 reach[k] |= through
+    everything = (1 << n) - 1
+    if n and reach.count(everything) == n:
+        # one class: every index reaches every other
+        one = tuple(range(n))
+        kind = "zero" if n == 1 and rows[0][0] == 0 else "irreducible"
+        return BlockStructure((one,), (kind,), one)
+    # reach -> [bitset, indices] of its class, by least index
     classes = {}
     for k, r in enumerate(reach):
-        classes[r] = classes.get(r, 0) | 1 << k
-    # each block is named by its minimal index, in increasing order
-    left = [((cls & -cls).bit_length() - 1, cls) for cls in classes.values()]
+        cls = classes.get(r)
+        if cls is None:
+            classes[r] = [1 << k, [k]]
+        else:
+            cls[0] |= 1 << k
+            cls[1].append(k)
+    left = list(classes.values())
     blocks = []
     kinds = []
-    unplaced = (1 << n) - 1
+    unplaced = everything
     while left:
-        # ready: reaches no other unplaced block (reach is reflexive)
-        pos = next(p for p, (rep, cls) in enumerate(left)
-                   if reach[rep] & unplaced == cls)
-        rep, cls = left.pop(pos)
+        # ready: reaches no other unplaced block (reach is reflexive); the
+        # class of least index first
+        for pos, (cls, idx) in enumerate(left):
+            if reach[idx[0]] & unplaced == cls:
+                break
+        del left[pos]
         unplaced ^= cls
-        idx = tuple(j for j in range(rep, n) if cls >> j & 1)
-        blocks.append(idx)
-        zero = len(idx) == 1 and rows[rep][rep] == 0
+        blocks.append(tuple(idx))
+        zero = len(idx) == 1 and rows[idx[0]][idx[0]] == 0
         kinds.append("zero" if zero else "irreducible")
     order = tuple(i for b in blocks for i in b)
     return BlockStructure(tuple(blocks), tuple(kinds), order)
@@ -130,7 +142,10 @@ def period(m):
 
 def _period(rows):
     """Period of an irreducible matrix, from one BFS out of index 0: the gcd
-    of dist(v) + 1 - dist(w) over the arcs v -> w."""
+    of dist(v) + 1 - dist(w) over the arcs v -> w.  A positive diagonal
+    entry is a cycle of length 1, so the period is 1 without the BFS."""
+    if any(rows[i][i] for i in range(len(rows))):
+        return 1
     adjacency = [[w for w, x in enumerate(col) if x] for col in zip(*rows)]
     dist = [None] * len(rows)
     dist[0] = 0
@@ -325,7 +340,8 @@ def gamma_hat_many(maps):
                 zip(bs.blocks, bs.kinds, blocks_edges), start=1):
             if kind == "zero":
                 continue
-            sub = [[rows[i][j] for j in idx] for i in idx]
+            sub = rows if len(idx) == len(rows) else [
+                [rows[i][j] for j in idx] for i in idx]
             if not _is_permutation_cycle(sub):
                 candidates.append((k, level, sub, edges))
     radii = _spectral_radii([c[2] for c in candidates])

@@ -238,16 +238,16 @@ def substitute_reduced(w, images):
     return reduce_word(substitute(w, images))
 
 
-def _image_table(images, inverses=True):
+def _image_table(images, used):
     """Image words indexed by signed letter: table[a] is the image of a,
-    table[-a] its inverse (None unless `inverses`), table[0] None.  A list
-    lookup does not hash, so no letter costs more than another (in CPython
-    hash(-1) == hash(-2), and a dict keyed by signed letters that holds -1
-    probes past it for -2)."""
+    table[-a] its inverse when the letter -a is in the set `used` (None
+    otherwise), table[0] None.  A list lookup does not hash, so no letter
+    costs more than another (in CPython hash(-1) == hash(-2), and a dict
+    keyed by signed letters that holds -1 probes past it for -2)."""
     table = [None] * (2 * len(images) + 1)
     for a, w in enumerate(images, 1):
         table[a] = w
-        if inverses:
+        if -a in used:
             table[-a] = invert_word(w)
     return table
 
@@ -262,15 +262,20 @@ def _substitute_seams(ws, images):
     cancel is joined without a scan (a signed permutation's seams never
     do, and a one-letter word's image is returned without a copy), and one
     whose seams do is joined image by image, cancelling at each seam.
-    Images are inverted only when some word has a negative letter.
+    An image is inverted only when some word reads its inverse: the
+    letters the words use are collected in one pass, and the end letters of
+    an inverse are those of the image, negated and swapped.
     """
     if all(len(x) == 1 and x[0] == a for a, x in enumerate(images, 1)):
         return tuple(ws)
     if not all(images):
         return tuple(reduce_word(substitute(w, images)) for w in ws)
-    table = _image_table(images, any(min(w) < 0 for w in ws if w))
-    heads = [x and x[0] for x in table]
-    tails = [x and x[-1] for x in table]
+    table = _image_table(images, set().union(*ws))
+    heads = [0] * len(table)
+    tails = [0] * len(table)
+    for a, x in enumerate(images, 1):
+        heads[a], tails[a] = x[0], x[-1]
+        heads[-a], tails[-a] = -x[-1], -x[0]
     out = []
     for w in ws:
         parts = list(map(table.__getitem__, w))

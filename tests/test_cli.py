@@ -286,7 +286,9 @@ def test_experiment_errors_stay_in_their_rows(monkeypatch, tmp_path,
     maps = Counter(p.rose_map.edge_map for p in pairs)
     fold_trial = next(t for t, p in enumerate(pairs)
                       if t != numeric_trial and maps[p.rose_map.edge_map] == 1)
-    check, factorize = spectra._checked_pf, automorphisms.factorize
+    # the pipeline folds an automorphism's rose map, tight as built,
+    # through factorize's tight-map step
+    check, factorize = spectra._checked_pf, automorphisms._factorize_tight
 
     def failing_check(lam, rows):
         if rows == [list(r) for r in target]:
@@ -299,7 +301,7 @@ def test_experiment_errors_stay_in_their_rows(monkeypatch, tmp_path,
         return factorize(f)
 
     monkeypatch.setattr(spectra, "_checked_pf", failing_check)
-    monkeypatch.setattr(automorphisms, "factorize", failing_factorize)
+    monkeypatch.setattr(automorphisms, "_factorize_tight", failing_factorize)
     patched = run("patched.tsv")
     assert len(patched) == len(plain) == 12
     for trial in range(10):

@@ -18,14 +18,15 @@ from hypothesis import given, settings, strategies as st
 
 from foldtrack.audits import pg_chain
 from foldtrack.automorphisms import (
-    parse_automorphism, random_automorphism, rose_graph, rose_representative,
+    normalize_outer, parse_automorphism, random_automorphism, rose_graph,
+    rose_representative, trial_automorphisms,
 )
 from foldtrack.errors import CertificationError, StructuralError
 from foldtrack.folding import (
-    FoldFactorization, InverseStats, _clean_factorize, _fold_greedily,
-    _FoldState, _try_invert_homeo, apply_fold, apply_fold_move,
-    certify_homotopy_equivalence, controlled_inverse, edge_bound, factorize,
-    find_fold, inverse_stats,
+    FoldFactorization, FoldSpec, InverseStats, _clean_factorize,
+    _factorize_tight, _fold_greedily, _FoldState, _try_invert_homeo,
+    apply_fold, apply_fold_move, certify_homotopy_equivalence,
+    controlled_inverse, edge_bound, factorize, find_fold, inverse_stats,
 )
 from foldtrack.graph import Graph, rank, spanning_tree, tree_path
 from foldtrack.graph_map import (
@@ -364,14 +365,14 @@ def assert_records_match(records, refs):
         assert record.graph_star == ref.quotient.codomain
 
 
-def assert_factorization_matches(f):
+def assert_factorization_matches(f, fold=factorize):
     try:
         refs, theta, theta_inv = ref_factorize(f)
     except CertificationError:
         with pytest.raises(CertificationError):
-            factorize(f)
+            fold(f)
         return
-    fact = factorize(f)
+    fact = fold(f)
     assert_records_match(fact.records, refs)
     assert fact.theta == theta
     assert fact.theta_inverse == theta_inv
@@ -497,6 +498,10 @@ def test_factorize_matches_reference_on_random_roses(seed, n, length):
     aut = random_automorphism(n, length, np.random.default_rng(seed))
     f = tighten_map(rose_representative(aut))
     assert_factorization_matches(f)
+    # expansion_pairs folds the rose map as built, without factorize's
+    # tightening and collapsed-edge test: an Automorphism's images are
+    # reduced and nonempty, so the reference, which tightens, folds the same
+    assert_factorization_matches(rose_representative(aut), _factorize_tight)
     # one fold at a time through the public wrappers
     cur = f
     while (spec := find_fold(cur)) is not None:
@@ -506,6 +511,33 @@ def test_factorize_matches_reference_on_random_roses(seed, n, length):
         assert_records_match([record], [ref_record])
         assert nxt == ref_nxt
         cur = nxt
+
+
+def test_pipeline_fold_matches_reference_on_the_experiment_ensemble():
+    """The trials of `experiment --rank 3 --length 10 --seed 1`, flagged
+    greedy folds among them, each folded as expansion_pairs folds it."""
+    flagged = 0
+    for aut in trial_automorphisms(3, 10, 1, range(200)):
+        fact = assert_factorization_matches(
+            rose_representative(normalize_outer(aut)), _factorize_tight)
+        flagged += any(r.spec.flags for r in fact.records)
+    assert flagged
+
+
+@pytest.mark.parametrize("images, spec", [
+    ([(1, 2), (1, -2)], FoldSpec(0, 1, 2, 2, 2)),
+    ([(1, 2), (1, -2)], FoldSpec(0, 1, -2, 1, 2)),
+    ([(1, 2), (1, -2)], FoldSpec(0, 1, 2, 3, 3)),
+    ([(2, 1), (2,)], FoldSpec(0, 1, 2, 2, 1)),
+])
+def test_apply_fold_refuses_a_spec_that_does_not_match(images, spec):
+    """apply_fold is the one entry that folds a spec made outside the fold
+    state, and checks its shared prefix against the map first."""
+    f = rose_map(images)
+    for run in (ref_apply_fold, apply_fold):
+        with pytest.raises(StructuralError,
+                           match="fold spec does not match the map"):
+            run(f, spec if run is apply_fold else spec_tuple(spec))
 
 
 @settings(max_examples=60, deadline=None)

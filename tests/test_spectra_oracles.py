@@ -5,7 +5,8 @@ reachability on int bitsets and calls numpy only for the eigenvalues.  The
 references below are the numpy versions as they were: boolean reachability
 by repeated squaring, a Kahn loop over `np.ix_` slices, column sums for the
 permutation-cycle test, a BFS over `np.nonzero` for the period, and the
-stable gates found by re-grouping after every power of Df.  Every test asks
+stable gates found by re-grouping after every power of Df; the transition
+matrix they start from is counted letter by letter.  Every test asks
 for identical results: blocks, kinds and order, Gamma and Gamma-hat entry
 by entry (values bit for bit), PF values, periods and gates.
 """
@@ -109,11 +110,22 @@ def ref_pf_value(m):
     return ref_pf_and_period(m)[0]
 
 
+def ref_transition_matrix(f):
+    """The occurrence counts of an unfiltered self map, letter by letter:
+    m[j, k] counts edge j + 1 in the image of edge k + 1."""
+    m = np.zeros((f.codomain.num_edges, f.domain.num_edges), dtype=np.int64)
+    for k, path in enumerate(f.edge_map):
+        for d in path:
+            m[abs(d) - 1, k] += 1
+    return m
+
+
 def ref_gamma(f):
-    tm = transition_matrix(f)
-    m = np.array(tm.entries, dtype=np.int64)
+    assert f.domain.filtration is None
+    m = ref_transition_matrix(f)
+    assert transition_matrix(f).entries == m.tolist()
     bs = ref_block_structure(m)
-    blocks_edges = tuple(tuple(tm.col_edges[i] for i in b) for b in bs.blocks)
+    blocks_edges = tuple(tuple(i + 1 for i in b) for b in bs.blocks)
     entries = []
     for level, (idx, kind, edges) in enumerate(
             zip(bs.blocks, bs.kinds, blocks_edges), start=1):
@@ -290,14 +302,52 @@ def test_rose_maps_match_reference(seed, rank, length):
     ([[0, 0, 3], [1, 0, 0], [0, 1, 0]], ((0, 1, 2),), 3),
     ([[1, 1], [0, 0]], ((0,), (1,)), None),
     ([[0]], ((0,),), None),
+    # one class, or 1x1 classes, and periods with and without a positive
+    # diagonal entry
+    ([[4]], ((0,),), 1),
+    ([[0, 0], [0, 0]], ((0,), (1,)), None),
+    ([[0, 1], [0, 0]], ((0,), (1,)), None),
+    ([[1, 2], [3, 0]], ((0, 1),), 1),
+    ([[0, 1, 1], [1, 0, 0], [0, 1, 0]], ((0, 1, 2),), 1),
+    ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], ((0, 1, 2),), 1),
+    ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 5, 2, 1], [0, 0, 1, 0]],
+     ((2, 3), (0, 1)), None),
 ])
 def test_periodic_and_reducible_examples(m, blocks, p):
     m = np.array(m)
-    assert block_structure(m) == ref_block_structure(m)
-    assert block_structure(m).blocks == blocks
+    bs = block_structure(m)
+    assert bs == ref_block_structure(m)
+    assert bs.blocks == blocks
     if p is not None:
         assert period(m) == ref_period(m) == p
         assert pf_value(m) == ref_pf_value(m)
+    for idx, kind in zip(bs.blocks, bs.kinds):
+        sub = m[np.ix_(idx, idx)]
+        if kind == "irreducible":
+            assert _period(sub.tolist()) == ref_period(sub)
+    rose = rose_graph(len(m))
+    f = make_graph_map(rose, rose, (0,), [
+        [j + 1 for j in range(len(m)) for _ in range(m[j, k])]
+        for k in range(len(m))])
+    assert gamma_hat(f) == ref_gamma_hat(f)
+
+
+@pytest.mark.parametrize("images", [
+    [(1, -1, 2), (2,)],            # a backtrack between live directions
+    [(), (2, 1, -1, 2)],           # a backtrack across a collapsed edge
+    [(), (2, 1, 2)],               # turns at a collapsed edge's directions
+    [(1, 2), ()], [(2, 2), (1,)], [(1, 2, -1), (2, 1, 1)],
+    [(2,), (1, 2)], [(1, 1, 2), (1, 2, 2), ()],
+    [(), (), (3, 1, 2, 3)],        # a turn between two collapsed edges
+])
+def test_train_track_turns_match_reference(images):
+    """Turns that backtrack, and turns at the directions of a collapsed
+    edge, which lie in no gate: the eventual images decide as the gates
+    do."""
+    rose = rose_graph(len(images))
+    f = make_graph_map(rose, rose, (0,), images)
+    assert stable_gates(f) == ref_stable_gates(f)
+    assert check_train_track(f) == ref_check_train_track(f)
 
 
 @pytest.mark.parametrize("m", [np.zeros((2, 3)), np.zeros(3), [[1, 2], [3]]])

@@ -669,6 +669,27 @@ def test_seam_substitution_cancels_whole_images():
         ((), (), ())
 
 
+def test_seam_substitution_inverts_only_images_read_inverted(monkeypatch):
+    """Inverting (x_1^-1, x_2 x_1^m) substitutes into words that read x_1^-1
+    but never x_2^-1: the long image x_2 x_1^m is never inverted, and the
+    seams of the words that read an inverse are still found."""
+    m = 10000
+    ws = ((-1,), (2,) + (1,) * m)
+    lengths = []
+
+    def counted(w):
+        lengths.append(len(w))
+        return invert_word(w)
+
+    monkeypatch.setattr(words, "invert_word", counted)
+    inverse = _invert_reduced(ws)
+    assert inverse == ((-1,), (2,) + (1,) * m)
+    assert lengths and max(lengths) == 1
+    assert _substitute_seams(((2, -1), (-2,), (-1, -1)), ws) == (
+        (2,) + (1,) * (m + 1), (-1,) * m + (-2,), (1, 1))
+    assert max(lengths) == m + 1 and lengths.count(m + 1) == 1
+
+
 # ---------------------------------------------------------------------------
 # Nielsen reduction
 # ---------------------------------------------------------------------------
