@@ -632,42 +632,57 @@ class ExpansionPair:
 
 def expansion_pairs(auts):
     """The ExpansionPair of each automorphism, or the FoldtrackError that
-    stopped it.  Each stage runs over the whole list before the next starts:
-    (1) the normal form, its rose map f, the controlled inverse g from the
-    fold factorization of f, the inverse's normal form and its rose map;
-    (2) Gamma-hat of all these rose maps in one gamma_hat_many batch; (3) the
-    train-track check on both rose maps.  The images of an Automorphism are
-    reduced and nonempty, so its rose map is tight as built and is folded
-    as it is, without factorize's tightening and collapsed-edge test.  An
-    error stays with its own automorphism."""
+    stopped it.
+
+    The pipeline runs stage by stage: each stage runs over every trial still
+    alive before the next starts.  The stages, in order: the normal form phi;
+    its rose map f; the greedy fold factorization of f; the controlled
+    inverse g; the inverse's normal form; its rose map fi; Gamma-hat of every
+    f and fi in one gamma_hat_many batch; the train-track check of every f,
+    then of every fi; the pairs.  Each trial does the work expansion_pair
+    does for it alone, so its result does not depend on its batch.  The
+    images of an Automorphism are reduced and nonempty, so its rose map is
+    tight as built and is folded as it is, without factorize's tightening
+    and collapsed-edge test.
+
+    A FoldtrackError raised for one trial, by any stage, becomes that trial's
+    result, and the trial skips every later stage."""
     results = [None] * len(auts)
-    staged = []  # (position, phi, f, inverse, factorization, g, fi)
-    maps = []    # f and fi of each staged automorphism, in turn
-    for k, aut in enumerate(auts):
-        try:
-            phi = normalize_outer(aut)
-            f = rose_representative(phi)
-            fact = _factorize_tight(f)
-            g = controlled_inverse(fact)
-            inv = _inverse_of(g)
-            fi = rose_representative(inv)
-        except FoldtrackError as exc:
-            results[k] = exc
-            continue
-        staged.append((k, phi, f, inv, fact, g, fi))
-        maps += (f, fi)
-    hats = gamma_hat_many(maps)
-    for (k, phi, f, inv, fact, g, fi), hat, inv_hat in zip(
-            staged, hats[::2], hats[1::2]):
-        error = next((h for h in (hat, inv_hat) if isinstance(h, FoldtrackError)),
-                     None)
-        if error is not None:
-            results[k] = error
-            continue
+    live = range(len(auts))  # positions that no stage has stopped
+
+    def stage(fn, args):
+        """fn(args[k]) at each live position k, None elsewhere; a call that
+        raises FoldtrackError stores it in results[k], which stops trial k."""
+        nonlocal live
+        out = [None] * len(auts)
+        for k in live:
+            try:
+                out[k] = fn(args[k])
+            except FoldtrackError as exc:
+                results[k] = exc
+        live = [k for k in live if results[k] is None]
+        return out
+
+    phis = stage(normalize_outer, auts)
+    fs = stage(rose_representative, phis)
+    facts = stage(_factorize_tight, fs)
+    gs = stage(controlled_inverse, facts)
+    invs = stage(_inverse_of, gs)
+    fis = stage(rose_representative, invs)
+    batch = gamma_hat_many([m for k in live for m in (fs[k], fis[k])])
+    hats = [None] * len(auts)
+    for k, hat, inv_hat in zip(live, batch[::2], batch[1::2]):
+        hats[k] = hat, inv_hat
+    hats = stage(_spectrum_pair, hats)
+    certified = stage(check_train_track, fs)
+    inverse_certified = stage(check_train_track, fis)
+    debug = log.isEnabledFor(logging.DEBUG)
+    for k in live:
+        hat, inv_hat = hats[k]
         pair = results[k] = ExpansionPair(
-            phi, inv, f, fi, fact, g, hat, inv_hat, check_train_track(f),
-            check_train_track(fi))
-        if log.isEnabledFor(logging.DEBUG):
+            phis[k], invs[k], fs[k], fis[k], facts[k], gs[k], hat, inv_hat,
+            certified[k], inverse_certified[k])
+        if debug:
             log.debug("expansion pair: lambda %s (certified %s, %d EG blocks), "
                       "mu %s (certified %s, %d EG blocks)",
                       pair.lam, pair.certified,
@@ -675,6 +690,15 @@ def expansion_pairs(auts):
                       pair.mu, pair.inverse_certified,
                       len({e.stratum for e in pair.inverse_spectrum.entries}))
     return results
+
+
+def _spectrum_pair(hats):
+    """A trial's two gamma_hat_many results, raising the first that is an
+    error."""
+    for hat in hats:
+        if isinstance(hat, FoldtrackError):
+            raise hat
+    return hats
 
 
 def expansion_pair(aut):

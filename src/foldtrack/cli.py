@@ -142,8 +142,11 @@ def cmd_ratio(args):
     return EXIT_OK
 
 
-# Trials per call of expansion_pairs, and at most per pool task: enough to
-# batch each stage, few enough to keep memory flat for any --trials.
+# Trials per call of expansion_pairs, and at most per pool task.
+# expansion_pairs runs stage by stage, each stage over every trial of the
+# chunk that no earlier stage stopped; an error stays in its trial's row.
+# 16 is enough to batch each stage, few enough to keep memory flat for any
+# --trials.
 EXPERIMENT_CHUNK = 16
 
 

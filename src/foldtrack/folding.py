@@ -346,8 +346,7 @@ class _FoldState:
         """(vertex, d, d') for every pair of directions at a vertex whose
         images start with the same letter: vertex by vertex, letter groups
         in the order of their least direction, pairs in sorted order."""
-        return [(v, ds[i], ds[k]) for v, ds in self._groups()
-                for i in range(len(ds)) for k in range(i + 1, len(ds))]
+        return _pairs(self._groups())
 
     def _groups(self):
         """(vertex, sorted directions) for each vertex and first image
@@ -429,7 +428,8 @@ class _FoldState:
         (vertex, least direction): the groups at a vertex hold disjoint
         directions.  It is found without sorting the others."""
         least = None
-        for (v, _), ds in self._letter_groups().items():
+        groups = self._letter_groups()
+        for (v, _), ds in groups.items():
             if len(ds) > 1:
                 key = v, min(ds)
                 if least is None or key < least:
@@ -440,7 +440,14 @@ class _FoldState:
         first = self.spec(least[0], ds[0], ds[1])
         if "case3-loop-at-v1" not in first.flags:
             return first
-        for v, da, db in sorted(self.candidates()):
+        return self._unflagged_fold(groups, first)
+
+    def _unflagged_fold(self, groups, first):
+        """next_fold past a flagged least candidate first: the candidates
+        in sorted order, from the letter groups next_fold has scanned."""
+        pairs = sorted(_pairs([(v, sorted(ds)) for (v, _), ds in groups.items()
+                               if len(ds) > 1]))
+        for v, da, db in pairs[1:]:   # pairs[0] is first's
             spec = self.spec(v, da, db)
             if "case3-loop-at-v1" not in spec.flags:
                 return spec
@@ -488,6 +495,13 @@ class _FoldState:
         self.nv = _move_ends(self.nv, self.ends, spec, v0, v1, v2)
         self.last = FoldRecord(spec, self.last, stage)
         return self.last
+
+
+def _pairs(groups):
+    """(v, d, d') for each pair d < d' of directions of each group (v,
+    sorted directions), group by group."""
+    return [(v, ds[i], ds[k]) for v, ds in groups
+            for i in range(len(ds)) for k in range(i + 1, len(ds))]
 
 
 def _fold_greedily(state):
@@ -875,9 +889,12 @@ def controlled_inverse(fact):
             rewritten.append((e, [dq, rev if path[i] > 0 else not rev],
                               _words(paths, path[:i]),
                               _words(paths, path[i + 1:])))
-        # every pre and post word is read before any path changes
+        # every pre and post word is read before any path changes; a column
+        # with neither (an edge kept or turned round, a case-2 fold's new
+        # edge) leaves its path as it is
         for e, new, pre, post in rewritten:
-            _wrap(new, pre, post)
+            if pre or post:
+                _wrap(new, pre, post)
         if spec.case == 2:
             paths.append(None)
         elif spec.case == 3:

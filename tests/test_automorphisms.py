@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import subprocess
@@ -406,6 +407,21 @@ def test_braid_sigma1_sigma2_inverse_has_ratio_one(experiment_draws):
         assert abs(pair.mu - GOLDEN_SQUARE) < 1e-12
         assert pair.certified and pair.inverse_certified
         assert abs(pair.ratio - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("rank, length, trials", [(3, 10, 200), (4, 30, 50)])
+def test_batch_equals_its_batches_of_one(rank, length, trials,
+                                         experiment_draws):
+    """Every field of a batch's pair equals the batch of one's: the normal
+    forms, the rose maps, the fold records, the controlled map, both spectra
+    and both flags, so no trial's value slips to another position between
+    the stages."""
+    auts = experiment_draws(rank, length, trials)
+    for aut, pair in zip(auts, expansion_pairs(auts)):
+        alone = expansion_pair(aut)
+        for field in dataclasses.fields(pair):
+            assert getattr(pair, field.name) == getattr(alone, field.name), (
+                format_automorphism(aut), field.name)
 
 
 def test_certified_powers_square_lambda(experiment_draws):

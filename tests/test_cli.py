@@ -254,6 +254,14 @@ def test_experiment_jobs_capped(monkeypatch, tmp_path, jobs, trials, cores,
     assert len(out.read_text().splitlines()) == trials + 2
 
 
+def _eg_blocks(f, spectrum):
+    """The rows of each EG block of a rose map's spectrum."""
+    from foldtrack.graph_map import transition_matrix
+    rows = transition_matrix(f).entries
+    return [tuple(tuple(rows[i - 1][j - 1] for j in e.block_edges)
+                  for i in e.block_edges) for e in spectrum.entries]
+
+
 def test_experiment_errors_stay_in_their_rows(monkeypatch, tmp_path,
                                                experiment_draws):
     """In one 10-trial batch, one trial's spectra raise NumericError and
@@ -261,7 +269,6 @@ def test_experiment_errors_stay_in_their_rows(monkeypatch, tmp_path,
     ERROR, and every other row is byte-identical to an unpatched run."""
     from foldtrack import automorphisms, cli, spectra
     from foldtrack.errors import CertificationError, NumericError
-    from foldtrack.graph_map import transition_matrix
 
     def run(name):
         out = tmp_path / name
@@ -270,16 +277,11 @@ def test_experiment_errors_stay_in_their_rows(monkeypatch, tmp_path,
                          "--out", str(out)]) == 0
         return out.read_text().splitlines()
 
-    def eg_blocks(f, spectrum):
-        rows = transition_matrix(f).entries
-        return [tuple(tuple(rows[i - 1][j - 1] for j in e.block_edges)
-                      for i in e.block_edges) for e in spectrum.entries]
-
     plain = run("plain.tsv")
     pairs = automorphisms.expansion_pairs(experiment_draws(3, 10, 10))
-    blocks = [eg_blocks(p.rose_map, p.spectrum) for p in pairs]
+    blocks = [_eg_blocks(p.rose_map, p.spectrum) for p in pairs]
     seen = Counter(b for p, forward in zip(pairs, blocks) for b in
-                   forward + eg_blocks(p.inverse_rose_map, p.inverse_spectrum))
+                   forward + _eg_blocks(p.inverse_rose_map, p.inverse_spectrum))
     # a block no other map of the batch has, and a rose map of its own
     numeric_trial, target = next((t, b) for t, forward in enumerate(blocks)
                                  for b in forward if seen[b] == 1)
@@ -311,6 +313,102 @@ def test_experiment_errors_stay_in_their_rows(monkeypatch, tmp_path,
                 line.split("\t")[:2] + ["ERROR"] * 5)
         else:
             assert patched[trial + 1] == line
+
+
+# The stages of expansion_pairs that can stop a trial, by the module that
+# expansion_pairs reads each through: how one call's argument is keyed, and
+# the keys of the calls a trial makes (its pair given, and its drawn
+# automorphism).  normalize_outer runs on the drawn automorphism and, inside
+# _inverse_of, on the controlled inverse; _checked_pf on each EG block, and
+# gamma_hat_many keeps the NumericError it raises as the map's result.
+STAGE_KEYS = {
+    "normalize_outer": (
+        "automorphisms", lambda aut: aut.images,
+        lambda pair, aut: [aut.images, pair.controlled_map.edge_map]),
+    "_factorize_tight": (
+        "automorphisms", lambda f: f.edge_map,
+        lambda pair, aut: [pair.rose_map.edge_map]),
+    "controlled_inverse": (
+        "automorphisms",
+        lambda fact: (fact.terminal, tuple(r.spec for r in fact.records)),
+        lambda pair, aut: [(pair.factorization.terminal, tuple(
+            r.spec for r in pair.factorization.records))]),
+    "_inverse_of": (
+        "automorphisms", lambda g: g.edge_map,
+        lambda pair, aut: [pair.controlled_map.edge_map]),
+    "_checked_pf": (
+        "spectra", lambda lam, rows: tuple(map(tuple, rows)),
+        lambda pair, aut: _eg_blocks(pair.rose_map, pair.spectrum)
+        + _eg_blocks(pair.inverse_rose_map, pair.inverse_spectrum)),
+}
+
+
+@pytest.mark.parametrize("stage", list(STAGE_KEYS))
+def test_experiment_error_at_any_stage_stays_in_its_row(
+        stage, monkeypatch, tmp_path, experiment_draws):
+    """A FoldtrackError raised by one stage for one trial of a 10-trial
+    batch: only that row reads ERROR, every other row is byte-identical to
+    an unpatched run, and the trial reaches no later stage, so each later
+    stage runs for the other nine trials only."""
+    from foldtrack import automorphisms, cli, spectra
+    from foldtrack.errors import FoldtrackError, NumericError
+
+    def run(name):
+        out = tmp_path / name
+        assert cli.main(["experiment", "--rank", "3", "--length", "10",
+                         "--trials", "10", "--seed", "1", "--jobs", "1",
+                         "--out", str(out)]) == 0
+        return out.read_text().splitlines()
+
+    plain = run("plain.tsv")
+    auts = experiment_draws(3, 10, 10)
+    pairs = automorphisms.expansion_pairs(auts)
+    module_name, key, trial_keys = STAGE_KEYS[stage]
+    keys = [trial_keys(pair, aut) for pair, aut in zip(pairs, auts)]
+    seen = Counter(k for ks in keys for k in ks)
+    # a trial whose first call of the stage is the only call with its key
+    failing = next(t for t, ks in enumerate(keys) if seen[ks[0]] == 1)
+    target = keys[failing][0]
+    module = {"automorphisms": automorphisms, "spectra": spectra}[module_name]
+    original = getattr(module, stage)
+    error = NumericError if stage == "_checked_pf" else FoldtrackError
+
+    def failing_stage(*args):
+        if key(*args) == target:
+            raise error("injected %s failure" % stage)
+        return original(*args)
+
+    monkeypatch.setattr(module, stage, failing_stage)
+    # the stages counted: their place in the pipeline, whose first five
+    # are those of STAGE_KEYS in order, and their calls (maps passed, for
+    # gamma_hat_many) per trial
+    spied = {"_factorize_tight": (1, 1), "controlled_inverse": (2, 1),
+             "_inverse_of": (3, 1), "gamma_hat_many": (4, 2),
+             "check_train_track": (5, 2)}
+    calls = Counter()
+
+    def spy(name):
+        fn = getattr(automorphisms, name)
+
+        def counted(arg):
+            calls[name] += len(arg) if name == "gamma_hat_many" else 1
+            return fn(arg)
+        return counted
+
+    for name in spied:
+        monkeypatch.setattr(automorphisms, name, spy(name))
+    patched = run("patched.tsv")
+    assert len(patched) == len(plain) == 12
+    for trial in range(10):
+        line = plain[trial + 1]
+        if trial == failing:
+            assert patched[trial + 1] == "\t".join(
+                line.split("\t")[:2] + ["ERROR"] * 5)
+        else:
+            assert patched[trial + 1] == line
+    fails_at = list(STAGE_KEYS).index(stage)
+    assert calls == {name: per_trial * (10 - (at > fails_at))
+                     for name, (at, per_trial) in spied.items()}
 
 
 GOLDEN = Path(__file__).parent / "data"

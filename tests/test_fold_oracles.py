@@ -21,6 +21,7 @@ from foldtrack.automorphisms import (
     normalize_outer, parse_automorphism, random_automorphism, rose_graph,
     rose_representative, trial_automorphisms,
 )
+from foldtrack import folding
 from foldtrack.errors import CertificationError, StructuralError
 from foldtrack.folding import (
     FoldFactorization, FoldSpec, InverseStats, _clean_factorize,
@@ -513,15 +514,55 @@ def test_factorize_matches_reference_on_random_roses(seed, n, length):
         cur = nxt
 
 
-def test_pipeline_fold_matches_reference_on_the_experiment_ensemble():
+def test_pipeline_fold_matches_reference_on_the_experiment_ensemble(
+        monkeypatch):
     """The trials of `experiment --rank 3 --length 10 --seed 1`, flagged
-    greedy folds among them, each folded as expansion_pairs folds it."""
+    greedy folds among them, each folded as expansion_pairs folds it.  A
+    flagged record is kept only after the search past a flagged least
+    candidate, which reads the letter groups the greedy step has scanned:
+    every flagged trial takes that path, and none rebuilds the groups
+    through candidates()."""
+    fallback = _FoldState._unflagged_fold
+    searched = []
+
+    def counted(self, groups, first):
+        searched.append(first)
+        return fallback(self, groups, first)
+
+    def refused(self):
+        raise AssertionError("the greedy fold rebuilt its letter groups")
+
+    monkeypatch.setattr(_FoldState, "_unflagged_fold", counted)
+    monkeypatch.setattr(_FoldState, "candidates", refused)
     flagged = 0
     for aut in trial_automorphisms(3, 10, 1, range(200)):
+        del searched[:]
         fact = assert_factorization_matches(
             rose_representative(normalize_outer(aut)), _factorize_tight)
-        flagged += any(r.spec.flags for r in fact.records)
+        kept = [r.spec for r in fact.records if r.spec.flags]
+        assert set(kept) <= set(searched)
+        flagged += bool(kept)
     assert flagged
+
+
+def test_controlled_inverse_wraps_only_columns_that_change(monkeypatch):
+    """A stage column with empty pre and post words, an edge of G* that is
+    its own edge of G turned round or not, or the new edge of a case-2 fold,
+    leaves its path as it is: over the 1000 trials of `experiment --rank 3
+    --length 10 --seed 1` no _wrap call gets two empty words.  The test
+    above checks the first 200 of these inverses against the reference."""
+    wrap = folding._wrap
+    calls = []
+
+    def counted(path, pre, post):
+        calls.append(bool(pre or post))
+        return wrap(path, pre, post)
+
+    monkeypatch.setattr(folding, "_wrap", counted)
+    for aut in trial_automorphisms(3, 10, 1, range(1000)):
+        controlled_inverse(
+            _factorize_tight(rose_representative(normalize_outer(aut))))
+    assert calls and all(calls)
 
 
 @pytest.mark.parametrize("images, spec", [
