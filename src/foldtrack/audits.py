@@ -18,8 +18,8 @@ from .automorphisms import (
 from .errors import CapacityError
 from .folding import FoldSpec, apply_fold_move
 from .graph import (
-    make_graph, pi1_generators, pi1_word, spanning_tree, subgraph_closure,
-    subgraph_components, subgraph_rank, tree_path, valences,
+    make_graph, pi1_generators, pi1_word, spanning_tree, subgraph_rank,
+    tree_path, valences,
 )
 from .graph_map import (
     apply_path, compose, gate_count, make_graph_map, restrict,
@@ -36,7 +36,7 @@ from .words import generates_free_group
 __all__ = [
     "matrix_pair_suite", "largest_bounds_suite", "gates_suite", "pg_chain",
     "pg_suite", "twist_metric_rows", "is_reducible_bruteforce",
-    "reducibility_fixtures", "reducibility_agreement_suite",
+    "reducibility_fixtures", "reducibility_agreement_suite", "SuiteResult",
 ]
 
 

@@ -37,7 +37,8 @@ __all__ = [
     "word_growth_rate", "random_automorphism", "trial_automorphisms",
     "trial_stream", "fold_inverse",
     "expansion_pair", "expansion_pairs", "ExpansionPair", "expansion_report",
-    "normalize_outer",
+    "normalize_outer", "make_automorphism", "compose_automorphisms", "power",
+    "format_word",
 ]
 
 log = logging.getLogger("foldtrack")
@@ -479,13 +480,14 @@ def trial_stream(seed, stream):
     return np.random.Philox(key=seed, counter=[0, 0, 0, stream])
 
 
-def trial_automorphisms(rank, length, seed, trials, positive=False):
+def trial_automorphisms(rank, length, seed, trials):
     """[random_automorphism(rank, length, numpy.random.default_rng(
-    trial_stream(seed, t)), positive) for t in trials], drawn without a
-    Generator: each trial's stream is read in blocks of 64-bit outputs and
-    every bound is applied as Generator.integers applies it
-    (`_bounded_draw`).  Nothing else reads a trial's stream, so reading past
-    the last word used is harmless.  `trials` is a sequence of counters."""
+    trial_stream(seed, t))) for t in trials], drawn without a Generator:
+    each trial's stream is read in blocks of 64-bit outputs and every bound
+    is applied as Generator.integers applies it (`_bounded_draw`).  Nothing
+    else reads a trial's stream, so reading past the last word used is
+    harmless.  `trials` is a sequence of counters.  The products are
+    random_automorphism's default ones, not positive ones."""
     if not trials:
         return []
     # one bit generator, set back to a fresh generator's state at each
@@ -500,7 +502,7 @@ def trial_automorphisms(rank, length, seed, trials, positive=False):
         state["state"]["counter"] = [0, 0, 0, trial]
         bitgen.state = state
         below = _bounded_draw(_stream_words(bitgen, block))
-        auts.append(_nielsen_product(rank, length, below, positive))
+        auts.append(_nielsen_product(rank, length, below, False))
     return auts
 
 
@@ -546,15 +548,15 @@ def _nielsen_product(rank, length, below, positive):
             head = images[i]
             tail = images[j] if eps > 0 else invert_word(images[j])
             # reduced words cancel only at the seam: the product's length is
-            # known before it is built
+            # known before it is built.  It is never empty: i != j, and
+            # w_i w_j^eps = 1 would make w_i = w_j^-eps, two elements of one
+            # basis
             k = _cancellation(head, tail)
             if len(head) + len(tail) - 2 * k > WORD_LENGTH_CAP:
                 raise CapacityError(
                     "random automorphism image exceeds %d letters after %d "
                     "of %d moves" % (WORD_LENGTH_CAP, step + 1, length))
             images[i] = head[:len(head) - k] + tail[k:] if k else head + tail
-            if not images[i]:
-                images[i] = (i + 1,)  # degenerate cancellation; reset petal
         elif kind == "swap":
             i = below(rank)
             j = below(rank - 1)

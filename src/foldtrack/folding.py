@@ -1,4 +1,4 @@
-"""Stallings folds: detection, application, explicit inverses, factorization.
+"""Stallings folds: the greedy factorization and its explicit inverses.
 
 A fold identifies initial segments of two directions d1, d2 at a common
 vertex whose images share their maximal common prefix.  The quotient graph,
@@ -12,12 +12,14 @@ which of the two segments are full edges; that pattern is the case split:
 Every inverse q has LC(M(q)) = 1, except a case-3 fold flagged
 case3-loop-at-v1 (LC = 2), and q o p induces the identity outer automorphism.
 
-A factorization folds one mutable state (_FoldState) in place: a fold
-changes the ends and images of the directions it folds and nothing else.
-Each graph move is made once, and its record keeps the fold spec with what
-the stage inverse needs beyond it (_inverse_columns); the quotient, the
-stage inverse, the folded graph with its transported marking and
-filtration, and the flags of that filtration are built when first read.
+factorize is the one entry that factors a map into folds.  It, the
+clean-order search and the certification fold one mutable state
+(_FoldState) in place: a fold changes the ends and images of the
+directions it folds and nothing else.  Each graph move is made once, and
+its record keeps the fold spec with what the stage inverse needs beyond it
+(_inverse_columns); the quotient, the stage inverse, the folded graph with
+its transported marking and filtration, and the flags of that filtration
+are built when first read.
 controlled_inverse composes the stage inverses edge by edge from the
 records, and inverse_stats reads their LC bookkeeping off them when asked.
 """
@@ -33,15 +35,13 @@ from typing import NamedTuple
 from .errors import CertificationError, StructuralError
 from .graph import Graph, _union_find, components, frontier, rank
 from .graph_map import (
-    GraphMap, _image_edges, apply_path, identity_map, is_tight, tighten_map,
+    GraphMap, _image_edges, apply_path, identity_map, tighten_map,
 )
 from .words import _longest, invert_word, reduce_word
 
 __all__ = [
-    "FoldSpec", "FoldRecord", "FoldFactorization", "find_fold", "apply_fold",
-    "apply_fold_move", "invert_fold",
-    "invert_homeomorphism",
-    "is_homeomorphism", "factorize", "clean_factorize", "controlled_inverse",
+    "FoldSpec", "FoldRecord", "FoldFactorization", "apply_fold_move",
+    "invert_fold", "factorize", "clean_factorize", "controlled_inverse",
     "InverseStats", "inverse_stats", "folds_into_lower_strata",
     "certify_homotopy_equivalence", "collapse_edges", "vertex_bound",
     "edge_bound",
@@ -421,12 +421,14 @@ class _FoldState:
         return FoldSpec(v, d1, d2, c, case, flags)
 
     def next_fold(self):
-        """find_fold's choice: the first candidate in sorted (v, d, d')
-        order whose spec is not flagged case3-loop-at-v1, else the first
-        flagged one, else None.  The first candidate pairs the two least
-        directions of the first group of _groups, the group least by
-        (vertex, least direction): the groups at a vertex hold disjoint
-        directions.  It is found without sorting the others."""
+        """The greedy choice: the first candidate in sorted (v, d, d') order
+        whose spec is not flagged case3-loop-at-v1, else the first flagged
+        one, else None (the map is an immersion).  A flagged case-3 fold
+        identifies a vertex carrying a loop, so its explicit inverse
+        crosses the connecting path twice (LC = 2).  The first candidate
+        pairs the two least directions of the first group of _groups, the
+        group least by (vertex, least direction): the groups at a vertex
+        hold disjoint directions.  It is found without sorting the others."""
         least = None
         groups = self._letter_groups()
         for (v, _), ds in groups.items():
@@ -454,10 +456,10 @@ class _FoldState:
         return first
 
     def fold(self, spec):
-        """Make one fold and return its record.  spec shares its prefix on
-        the current images (spec measured it, or apply_fold checked it).
-        Every other check runs before the state changes: the graph move,
-        the case-3 terminal images and the edgelet count."""
+        """Make one fold and return its record.  spec was measured on the
+        current images, so it shares its prefix there.  Every other check
+        runs before the state changes: the graph move, the case-3 terminal
+        images and the edgelet count."""
         d1, d2, case, c = spec.d1, spec.d2, spec.case, spec.prefix_len
         m1, m2 = abs(d1), abs(d2)
         img = self.img
@@ -505,29 +507,15 @@ def _pairs(groups):
 
 
 def _fold_greedily(state):
-    """Fold in find_fold's order until the map is an immersion.  Each fold
+    """Fold in next_fold's order until the map is an immersion.  Each fold
     checks that the edgelet count drops, so the loop ends."""
     while (spec := state.next_fold()) is not None:
         state.fold(spec)
 
 
 # ---------------------------------------------------------------------------
-# fold detection and application, one fold at a time
+# the maps of a fold record
 # ---------------------------------------------------------------------------
-
-def find_fold(f):
-    """Deterministic fold candidate for a tightened map, or None when f is an
-    immersion.
-
-    Case-3 candidates whose identified vertex carries a loop are deferred:
-    their explicit inverses would cross the connecting path twice, spoiling
-    the LC(M(q)) = 1 guarantee.  One is still returned when no clean
-    candidate exists.
-    """
-    if not is_tight(f):
-        raise StructuralError("find_fold requires a tightened map")
-    return _FoldState(f.domain, f).next_fold()
-
 
 def _push_graph_data(g, gstar, p):
     """Transport basepoint, marking and filtration through the fold
@@ -599,23 +587,6 @@ def apply_fold_move(g, spec):
     first read.  Raises StructuralError when g cannot make the fold."""
     vertices = _fold_vertices(g.edge_ends, spec)
     return FoldRecord(spec, g, _inverse_columns(g.edge_ends, spec, *vertices))
-
-
-def apply_fold(f, spec):
-    """Apply a fold to the map being factored: f = f1 o p.
-
-    Returns (record, f1).  The subdivision at image split points is implicit
-    in the case constructions (the new vertex of a case-2 fold is the split
-    point; a case-1 split point is absorbed into v2).
-    """
-    state = _FoldState(f.domain, f)
-    a, b = state._view(spec.d1), state._view(spec.d2)
-    c = spec.prefix_len
-    la, lb = a[2] - a[1], b[2] - b[1]
-    if _letters(a, 0, min(c, la)) != _letters(b, 0, min(c, lb)):
-        raise StructuralError("fold spec does not match the map")
-    record = state.fold(spec)
-    return record, state.as_map(record.graph_star)
 
 
 def invert_fold(record, b=None, a=None):
@@ -694,18 +665,6 @@ def _try_invert_homeo(f):
     return GraphMap(f.codomain, f.domain, tuple(vmap), tuple(emap))
 
 
-def is_homeomorphism(f):
-    return _try_invert_homeo(f) is not None
-
-
-def invert_homeomorphism(f):
-    """Inverse of a homeomorphism; LC(M) = 1 by construction."""
-    inv = _try_invert_homeo(f)
-    if inv is None:
-        raise CertificationError("map is not a homeomorphism")
-    return inv
-
-
 # ---------------------------------------------------------------------------
 # factorization
 # ---------------------------------------------------------------------------
@@ -752,13 +711,16 @@ def _clean_factorize(f, budget=CLEAN_SEARCH_BUDGET):
 
 
 def factorize(f):
-    """Factor f into folds, in find_fold's greedy order, followed by a
-    homeomorphism.
+    """Factor f into folds, in next_fold's greedy order, followed by a
+    homeomorphism: the terminal map, whose inverse is terminal_inverse.  A
+    homeomorphism factors with no folds.
 
-    Raises CertificationError (with the residual map attached) when the
-    terminal immersion is not a homeomorphism, which happens exactly when f
-    was not a homotopy equivalence.  A record flagged case3-loop-at-v1 has
-    an inverse with LC = 2; clean_factorize looks for an order without one.
+    Raises CertificationError, with the residual map attached, exactly when
+    f is not a homotopy equivalence: f collapses an edge once tightened, a
+    fold would kill a loop (the residual is the map folded so far), or the
+    terminal immersion is not a homeomorphism.  A record flagged
+    case3-loop-at-v1 has an inverse with LC = 2; clean_factorize looks for
+    an order without one.
     """
     f = tighten_map(f)
     if any(not p for p in f.edge_map):
@@ -772,7 +734,15 @@ def _factorize_tight(f):
     the rose map of an Automorphism is one, its images being reduced and
     nonempty."""
     state = _FoldState(f.domain, f)
-    _fold_greedily(state)
+    try:
+        _fold_greedily(state)
+    except StructuralError as exc:
+        # no edge collapses, so the fold that fails folds two parallel edges
+        # with one image, killing a loop; it left the state as it was
+        raise CertificationError(
+            "%s; the input was not a homotopy equivalence" % exc,
+            residual=state.as_map(None if state.records() else f.domain),
+        ) from exc
     records = state.records()
     cur = state.as_map(None if records else f.domain)
     theta_inv = _try_invert_homeo(cur)

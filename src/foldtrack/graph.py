@@ -22,7 +22,8 @@ __all__ = [
     "path_endpoints", "stratum", "frontier", "spanning_tree",
     "pi1_word", "tree_path", "subgraph_closure", "build_subgraph",
     "subgraph_rank", "valences", "validate_filtration", "edge_level",
-    "graph_to_json", "graph_from_json",
+    "graph_to_json", "graph_from_json", "load_graph", "dump_graph",
+    "pi1_generators", "subgraph_components",
 ]
 
 

@@ -12,9 +12,8 @@ from typing import NamedTuple
 
 from .errors import StructuralError
 from .graph import (
-    Graph, _graph_from_json, build_subgraph, components, edge_level,
-    graph_to_json, make_graph, pi1_word, rank, reverse_path, spanning_tree,
-    stratum, subgraph_closure, tighten,
+    Graph, _graph_from_json, build_subgraph, edge_level, graph_to_json,
+    pi1_word, reverse_path, spanning_tree,
 )
 from .words import reduce_word
 
@@ -22,8 +21,8 @@ __all__ = [
     "GraphMap", "make_graph_map", "identity_map", "apply_path", "compose",
     "tighten_map", "map_length", "edgelet_count", "gate_count", "direction_map",
     "TransitionMatrix", "transition_matrix", "submatrix",
-    "is_supported_on", "respects_filtration", "is_marking_respecting",
-    "subdivide", "restrict",
+    "respects_filtration", "is_marking_respecting",
+    "subdivide", "restrict", "map_to_json", "map_from_json",
 ]
 
 
@@ -111,10 +110,6 @@ def tighten_map(f):
                     tuple(reduce_word(p) for p in f.edge_map))
 
 
-def is_tight(f):
-    return all(reduce_word(p) == p for p in f.edge_map)
-
-
 def edgelet_count(f):
     return sum(len(p) for p in f.edge_map)
 
@@ -127,7 +122,7 @@ def map_length(f):
     return math.log(total)
 
 
-# -- links, gates, supports ---------------------------------------------------
+# -- links and gates -----------------------------------------------------------
 
 def direction_map(f):
     """Df on non-collapsed directions: signed edge -> first signed edge of its
@@ -146,63 +141,6 @@ def gate_count(f, v):
     df = direction_map(f)
     lk = f.domain.links()[v]
     return len({df[d] for d in lk if d in df})
-
-
-def is_supported_on(f, b, a):
-    """Support conditions (s1), (s2) for a filtration-respecting map."""
-    g, h = f.domain, f.codomain
-    if g.filtration is None or h.filtration is None:
-        raise ValueError("support requires filtrations on both graphs")
-    n = len(g.filtration)
-    if not 1 <= a <= b <= n:
-        raise ValueError("need 1 <= a <= b <= N")
-    below = g.filtration[a - 2] if a >= 2 else frozenset()
-    below_cod = h.filtration[a - 2] if a >= 2 else frozenset()
-    # (s1): simplicial homeomorphism G_{a-1} -> G'_{a-1}
-    if not _simplicial_homeo_on(f, below, below_cod, allow_identify=None):
-        return False
-    # (s2): closure(G - G_b) -> closure(G' - G'_b), identifications only in G_b
-    gb = g.filtration[b - 1]
-    hb = h.filtration[b - 1]
-    top = frozenset(g.edge_ids) - gb
-    top_cod = frozenset(h.edge_ids) - hb
-    vb, _ = subgraph_closure(g, gb)
-    if not _simplicial_homeo_on(f, top, top_cod, allow_identify=vb):
-        return False
-    vtop, _ = subgraph_closure(g, top)
-    vtop_cod, _ = subgraph_closure(h, top_cod)
-    vhb, _ = subgraph_closure(h, hb)
-    for v in vtop:
-        if v not in vb and f.vertex_map[v] in vhb:
-            return False
-    return True
-
-
-def _simplicial_homeo_on(f, edges, cod_edges, allow_identify):
-    """f restricted to `edges` is a bijection onto `cod_edges`, each edge to a
-    single edge, injective on vertices except possibly inside allow_identify."""
-    seen = set()
-    for e in edges:
-        p = f.edge_map[e - 1]
-        if len(p) != 1:
-            return False
-        img = abs(p[0])
-        if img in seen or img not in cod_edges:
-            return False
-        seen.add(img)
-    if seen != set(cod_edges):
-        return False
-    vset, _ = subgraph_closure(f.domain, edges)
-    images = {}
-    for v in vset:
-        w = f.vertex_map[v]
-        if w in images and images[w] != v:
-            if allow_identify is None:
-                return False
-            if v not in allow_identify or images[w] not in allow_identify:
-                return False
-        images.setdefault(w, v)
-    return True
 
 
 # -- transition matrices -------------------------------------------------------

@@ -1,12 +1,10 @@
 """Upper bounds for the quasi-metric d(G,G') = min over marking-respecting
-maps of log total edge length, plus empirical audits of the quasi-metric
-axioms.
+maps of log total edge length.
 
 Every value is an upper bound: the log of the least total edge length that
 vertex slides reach from the canonical difference map, not d itself.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -14,8 +12,8 @@ from .graph import _pi1_word, make_graph, pi1_generators, rank, spanning_tree
 from .graph_map import GraphMap, edgelet_count, map_length
 from .words import _descend, _invert_reduced, _substitute_seams
 
-__all__ = ["MetricEstimate", "difference_map", "estimate_d",
-           "quasi_metric_audit", "twist_family", "slide_normalize"]
+__all__ = ["MetricEstimate", "difference_map", "estimate_d", "twist_family",
+           "slide_normalize"]
 
 
 @dataclass(frozen=True)
@@ -126,46 +124,14 @@ def estimate_d(g, h):
     return _estimate(_Marking(g), _Marking(h))
 
 
-def _estimates(graphs, same=False):
+def _estimates(graphs):
     """(i, j, estimate_d(graphs[i], graphs[j])) for the ordered pairs with
-    i != j, and i == j too when `same`, in row order.  The pairs share each
-    graph's _Marking record."""
+    i != j, in row order.  The pairs share each graph's _Marking record."""
     marks = [_Marking(g) for g in graphs]
     for i, a in enumerate(marks):
         for j, b in enumerate(marks):
-            if same or i != j:
+            if i != j:
                 yield i, j, _estimate(a, b)
-
-
-def quasi_metric_audit(samples):
-    """All-pairs estimates with the quasi-metric diagnostics.
-
-    Returns (rows, summary): rows have (i, j, d_upper, witness total length,
-    method); the summary reports max d(G,G), max triangle defect
-    d(G,G'') - d(G,G') - d(G',G''), and max asymmetry ratio.
-    """
-    if len(samples) < 3:
-        raise ValueError("audit needs at least 3 samples")
-    n = len(samples)
-    d = {}
-    rows = []
-    for i, j, est in _estimates(samples, same=True):
-        d[i, j] = est.value
-        rows.append((i, j, est.value, est.total_edge_length, est.method))
-    max_self = max(d[i, i] for i in range(n))
-    max_defect = -math.inf
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                max_defect = max(max_defect, d[i, k] - d[i, j] - d[j, k])
-    max_asym = max(d[i, j] / d[j, i] for i in range(n) for j in range(n)
-                   if i != j and d[j, i] > 0)
-    summary = {
-        "max_self_distance": max_self,
-        "max_triangle_defect": max_defect,
-        "max_asymmetry_ratio": max_asym,
-    }
-    return rows, summary
 
 
 def twist_family(n, m):

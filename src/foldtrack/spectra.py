@@ -18,6 +18,7 @@ __all__ = [
     "lc", "l_total", "mlog", "BlockStructure", "block_structure", "pf_value",
     "pf_value_charpoly", "period", "ExpansionSpectrum", "SpectrumEntry",
     "gamma", "gamma_hat", "gamma_hat_many", "maximal_invariant_filtration",
+    "charpoly", "is_irreducible", "gamma_hat_by_power", "spectrum_report",
 ]
 
 

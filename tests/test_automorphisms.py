@@ -451,27 +451,22 @@ def test_certified_powers_square_lambda(experiment_draws):
 def test_trial_draw_matches_shared_generator(seed):
     """trial_automorphisms reads each trial's Philox stream in blocks and
     bounds each word itself; it draws what random_automorphism draws from a
-    Generator on the same stream: 552 draws per seed over ranks 1-8 and 26,
-    lengths 0, 1, 10 and 40, positive or not, in runs of 8 trials from a
-    random counter (2208 in all).  Positive products of 40 moves are left
-    out at ranks 2 and 3, where they grow like Fibonacci numbers (3.5e7
-    letters at rank 2)."""
+    Generator on the same stream: 288 draws per seed over ranks 1-8 and 26
+    and lengths 0, 1, 10 and 40, in runs of 8 trials from a random counter
+    (1152 in all)."""
     draws = random.Random(17)
     checked = 0
     for rank in (*range(1, 9), 26):
         for length in (0, 1, 10, 40):
-            for positive in (False, True):
-                if positive and length == 40 and rank <= 3:
-                    continue
-                key = draws.getrandbits(62) if seed == "random" else seed
-                start = draws.getrandbits(32)
-                trials = range(start, start + 8)
-                want = [random_automorphism(rank, length, seeded_rng(key, t),
-                                            positive) for t in trials]
-                got = trial_automorphisms(rank, length, key, trials, positive)
-                assert got == want, (rank, length, positive, key, start)
-                checked += len(got)
-    assert checked == 552
+            key = draws.getrandbits(62) if seed == "random" else seed
+            start = draws.getrandbits(32)
+            trials = range(start, start + 8)
+            want = [random_automorphism(rank, length, seeded_rng(key, t))
+                    for t in trials]
+            got = trial_automorphisms(rank, length, key, trials)
+            assert got == want, (rank, length, key, start)
+            checked += len(got)
+    assert checked == 288
     assert trial_automorphisms(3, 10, key, range(0)) == []
 
 
@@ -571,7 +566,6 @@ def test_every_producer_keeps_images_reduced(rank):
     auts = [random_automorphism(rank, length, rng, positive)
             for length in (0, 1, 6, 12) for positive in (False, True)]
     auts += trial_automorphisms(rank, 10, 7, range(8))
-    auts += trial_automorphisms(rank, 10, 7, range(4), positive=True)
     produced = list(auts)
     for aut in auts:
         # unreduced text: a cancelling pair of letters inside each image

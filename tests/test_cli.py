@@ -132,6 +132,20 @@ def test_invert_malformed_map_exit_2(tmp_path, edit):
     assert "Traceback" not in proc.stderr
 
 
+def test_invert_map_that_kills_a_loop_exit_2(tmp_path):
+    """Both petals onto one petal: the greedy fold would fold two parallel
+    edges with one image onto each other, so the map is refused as no
+    homotopy equivalence."""
+    data = _fib_map_json()
+    data["edge_map"] = {"1": [1], "2": [1]}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("invert", str(path))
+    assert proc.returncode == 2
+    assert "the input was not a homotopy equivalence" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_ratio_command():
     proc = run_cli("ratio", "a->ac, b->a, c->b")
     assert proc.returncode == 0

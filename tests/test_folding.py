@@ -10,10 +10,9 @@ from foldtrack.audits import _pi1_surjective
 from foldtrack.automorphisms import simultaneously_conjugate
 from foldtrack.errors import CertificationError, StructuralError
 from foldtrack.folding import (
-    FoldSpec, apply_fold, apply_fold_move, certify_homotopy_equivalence,
-    collapse_edges, controlled_inverse, edge_bound, factorize, find_fold,
-    folds_into_lower_strata, inverse_stats, invert_fold, invert_homeomorphism,
-    is_homeomorphism,
+    FoldSpec, _FoldState, _try_invert_homeo, apply_fold_move,
+    certify_homotopy_equivalence, collapse_edges, controlled_inverse,
+    edge_bound, factorize, folds_into_lower_strata, inverse_stats, invert_fold,
 )
 from foldtrack.graph import (
     components, frontier, make_graph, rank, spanning_tree, tree_path,
@@ -43,23 +42,30 @@ def outer_trivial(f):
     return simultaneously_conjugate(ws, vs)
 
 
+def one_fold(f):
+    """The record of the first greedy fold of f and the map after it."""
+    state = _FoldState(f.domain, f)
+    record = state.fold(state.next_fold())
+    return record, state.as_map(record.graph_star)
+
+
 def test_find_fold_examples(rose2, fibonacci):
-    spec = find_fold(fibonacci)
+    spec = factorize(fibonacci).records[0].spec
     assert (spec.d1, spec.d2, spec.case) == (1, 2, 1)
     ident = identity_map(rose2)
-    assert find_fold(ident) is None
+    assert factorize(ident).fold_count == 0
     f = make_graph_map(rose2, rose2, (0,), [(1,), (1, 2)])
-    spec2 = find_fold(f)
+    spec2 = factorize(f).records[0].spec
     assert spec2.case == 1 and spec2.d1 == 2 and spec2.d2 == 1
 
 
 def test_case1_fold_quotient(rose2):
     f = make_graph_map(rose2, rose2, (0,), [(1,), (1, 2)])
-    record, f1 = apply_fold(f, find_fold(f))
+    record, f1 = one_fold(f)
     assert record.case == 1
     assert record.quotient.edge_map == ((1,), (1, 2))  # p(b) = a b*
     assert f1.edge_map == ((1,), (2,))
-    assert is_homeomorphism(f1)
+    assert factorize(f1).fold_count == 0
     assert record.inverse.edge_map == ((1,), (-1, 2))  # q(b*) = a^-1 b
     assert compose(f1, record.quotient).edge_map == f.edge_map
 
@@ -67,9 +73,8 @@ def test_case1_fold_quotient(rose2):
 def test_case2_fold_creates_trivalent_vertex(rose3):
     # only fold candidate pairs directions 1, 2 with both segments proper
     f = make_graph_map(rose3, rose3, (0,), [(1, 2), (1, 3), (3, 3)])
-    spec = find_fold(f)
-    assert spec.case == 2
-    record, f1 = apply_fold(f, spec)
+    record, f1 = one_fold(f)
+    assert record.case == 2
     w_star = f.domain.num_vertices  # the new vertex gets the appended id
     assert record.graph_star.num_vertices == f.domain.num_vertices + 1
     assert gate_count(f1, w_star) == 3
@@ -81,11 +86,11 @@ def test_case3_fold(rose2):
     g = make_graph(3, [(0, 1), (0, 2), (1, 1), (2, 1)])
     h = rose2
     f = make_graph_map(g, h, (0, 0, 0), [(1,), (1,), (2,), (1,)])
-    spec = find_fold(f)
+    record, f1 = one_fold(f)
+    spec = record.spec
     assert spec.case == 3
     # labelling prefers the loop-free terminal as v1
     assert g.term(spec.d1) == 2 and "case3-loop-at-v1" not in spec.flags
-    record, f1 = apply_fold(f, spec)
     assert record.graph_star.num_vertices == g.num_vertices - 1
     assert record.graph_star.num_edges == g.num_edges - 1
     assert compose(f1, record.quotient).edge_map == f.edge_map
@@ -95,7 +100,7 @@ def test_case3_fold(rose2):
 
 
 def test_fold_decreases_edgelets(fibonacci):
-    record, f1 = apply_fold(fibonacci, find_fold(fibonacci))
+    record, f1 = one_fold(fibonacci)
     assert edgelet_count(f1) < edgelet_count(fibonacci)
 
 
@@ -149,37 +154,49 @@ def test_every_record_inverse_lc_one(fibonacci, parageometric):
                 tighten_map(compose(record.inverse, record.quotient)))
 
 
+def homeomorphism_inverse(f):
+    """The inverse of a homeomorphism f, which factors with no folds."""
+    fact = factorize(f)
+    assert fact.fold_count == 0
+    return fact.terminal_inverse
+
+
 def test_invert_homeomorphism_cases(rose2):
     # simplicial isomorphism: a relabelling
     swap = make_graph_map(rose2, rose2, (0,), [(2,), (1,)])
-    inv = invert_homeomorphism(swap)
+    inv = homeomorphism_inverse(swap)
     assert inv.edge_map == ((2,), (1,))
     # pure subdivision: inverse collapses
     g2, smap = subdivide(rose2, 1, 3)
-    inv2 = invert_homeomorphism(smap)
+    inv2 = homeomorphism_inverse(smap)
     assert sum(1 for p in inv2.edge_map if p == ()) == 2
     assert tighten_map(compose(inv2, smap)).edge_map == ((1,), (2,))
     # subdivision followed by an isomorphism (swap the two petal chains)
     ids = identity_map(g2)
     comp = compose(ids, smap)
-    inv3 = invert_homeomorphism(comp)
+    inv3 = homeomorphism_inverse(comp)
     assert tighten_map(compose(inv3, comp)).edge_map == ((1,), (2,))
-    with pytest.raises(CertificationError):
-        invert_homeomorphism(make_graph_map(rose2, rose2, (0,), [(1, 2), (1,)]))
+    # a homotopy equivalence that is no homeomorphism folds first
+    assert factorize(
+        make_graph_map(rose2, rose2, (0,), [(1, 2), (1,)])).fold_count == 1
     # onto, and each failing one condition only: a petal collapsed; a
     # segment closed up into a circle; two parallel edges onto one edge; a
-    # loop whose image passes through the image of an isolated vertex
+    # loop whose image passes through the image of an isolated vertex.  The
+    # first and third are no immersions, so factorize never reaches the
+    # embedding test on them: it is called directly
     circle = make_graph(1, [(0, 0)])
-    assert not is_homeomorphism(make_graph_map(rose2, circle, (0,), [(1,), ()]))
+    assert _try_invert_homeo(
+        make_graph_map(rose2, circle, (0,), [(1,), ()])) is None
     segment = make_graph(2, [(0, 1)])
-    assert not is_homeomorphism(make_graph_map(segment, circle, (0, 0), [(1,)]))
+    assert _try_invert_homeo(
+        make_graph_map(segment, circle, (0, 0), [(1,)])) is None
     theta1 = make_graph(2, [(0, 1), (0, 1)])
-    assert not is_homeomorphism(
-        make_graph_map(theta1, segment, (0, 1), [(1,), (1,)]))
+    assert _try_invert_homeo(
+        make_graph_map(theta1, segment, (0, 1), [(1,), (1,)])) is None
     loop_and_point = make_graph(2, [(0, 0)])
     two_cycle = make_graph(2, [(0, 1), (1, 0)])
-    assert not is_homeomorphism(
-        make_graph_map(loop_and_point, two_cycle, (0, 1), [(1, 2)]))
+    assert _try_invert_homeo(
+        make_graph_map(loop_and_point, two_cycle, (0, 1), [(1, 2)])) is None
 
 
 def test_factorize_rejects_non_equivalence(rose2):
@@ -187,6 +204,23 @@ def test_factorize_rejects_non_equivalence(rose2):
     with pytest.raises(CertificationError) as err:
         factorize(bad)
     assert err.value.residual is not None
+
+
+def test_factorize_rejects_a_fold_that_kills_a_loop(rose2):
+    """Two parallel edges with one image would fold full onto each other:
+    the map kills a loop, so it is no homotopy equivalence.  The residual
+    is the map folded so far."""
+    theta = make_graph(2, [(0, 1), (0, 1)])
+    segment = make_graph(2, [(0, 1)])
+    onto_segment = make_graph_map(theta, segment, (0, 1), [(1,), (1,)])
+    with pytest.raises(CertificationError, match="homotopy equivalence") as err:
+        factorize(onto_segment)
+    assert err.value.residual.edge_map == ((1,), (1,))
+    # two petals with one image are parallel edges too: loops at one vertex
+    petals = make_graph_map(rose2, rose2, (0,), [(1,), (1,)])
+    with pytest.raises(CertificationError, match="homotopy equivalence") as err:
+        factorize(petals)
+    assert err.value.residual.edge_map == ((1,), (1,))
 
 
 def test_folds_into_lower_strata():
@@ -266,7 +300,7 @@ def test_certify_homotopy_equivalence(rose2, fibonacci):
     assert not certify_homotopy_equivalence(deg2)
     # collapsed tree edge is fine
     g2, smap = subdivide(rose2, 1, 2)
-    inv = invert_homeomorphism(smap)
+    inv = homeomorphism_inverse(smap)
     assert certify_homotopy_equivalence(inv)
     # collapsed essential loop is not
     bad = make_graph_map(rose2, rose2, (0,), [(), (2,)])
@@ -365,10 +399,10 @@ def test_factorize_roundtrip_random(seed, n):
     fact = factorize(f)
     # edgelet counts strictly decrease stage by stage
     counts = [edgelet_count(f)]
-    cur = f
+    state = _FoldState(f.domain, f)
     for record in fact.records:
-        _, cur = apply_fold(cur, record.spec)
-        counts.append(edgelet_count(cur))
+        assert state.fold(state.next_fold()).spec == record.spec
+        counts.append(edgelet_count(state.as_map()))
     assert all(a > b for a, b in zip(counts, counts[1:]))
     assert fact.fold_count <= edgelet_count(f)
     g = controlled_inverse(fact)

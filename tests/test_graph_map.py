@@ -11,9 +11,9 @@ from foldtrack.errors import StructuralError
 from foldtrack.graph import load_graph, make_graph, rank
 from foldtrack.graph_map import (
     apply_path, compose, edgelet_count, gate_count, identity_map,
-    is_marking_respecting, is_supported_on, make_graph_map, map_from_json,
-    map_length, map_to_json, respects_filtration, restrict, subdivide,
-    submatrix, tighten_map, transition_matrix,
+    is_marking_respecting, make_graph_map, map_from_json, map_length,
+    map_to_json, respects_filtration, restrict, subdivide, submatrix,
+    tighten_map, transition_matrix,
 )
 from foldtrack.graph import reverse_path
 
@@ -174,20 +174,6 @@ def test_respects_filtration(rose2):
     assert respects_filtration(fib)
 
 
-def test_is_supported_on():
-    # 2-level filtration on rank-3 rose, fold-like map touching only level 1
-    g = make_graph(1, [(0, 0)] * 3, basepoint=0, marking=[(1,), (2,), (3,)],
-                   filtration=[{1, 2}, {1, 2, 3}])
-    f = make_graph_map(g, g, (0,), [(1,), (2, 1), (3,)])
-    assert is_supported_on(f, 1, 1)
-    # moving a level-2 edge over level 1 with a=2 violates (s1)... here (s2):
-    h = make_graph_map(g, g, (0,), [(1,), (2,), (3, 1)])
-    assert not is_supported_on(h, 1, 1)
-    assert is_supported_on(h, 2, 2)
-    # full span is vacuous
-    assert is_supported_on(f, 2, 1)
-
-
 def test_marking_respecting(rose2, fibonacci):
     assert is_marking_respecting(identity_map(rose2))
     # fib as a self map of the identity-marked rose is NOT marking-respecting
@@ -213,8 +199,10 @@ def test_subdivide(rose2):
     assert g2.num_vertices == 2 and g2.num_edges == 3
     assert rank(g2) == rank(rose2)
     assert smap.edge_map[0] == (1, 3)
-    from foldtrack.folding import invert_homeomorphism
-    inv = invert_homeomorphism(smap)
+    from foldtrack.folding import factorize
+    fact = factorize(smap)
+    assert fact.fold_count == 0
+    inv = fact.terminal_inverse
     roundtrip = compose(inv, smap)
     assert tighten_map(roundtrip).edge_map == identity_map(rose2).edge_map
 

@@ -5,8 +5,7 @@ import pytest
 from foldtrack.graph import make_graph
 from foldtrack.graph_map import edgelet_count, map_length
 from foldtrack.metric import (
-    difference_map, estimate_d, quasi_metric_audit, slide_normalize,
-    twist_family,
+    difference_map, estimate_d, slide_normalize, twist_family,
 )
 
 
@@ -81,45 +80,20 @@ def test_estimate_never_worse_than_canonical(rose2):
     assert est.value <= map_length(canonical) + 1e-12
 
 
-def test_quasi_metric_audit():
-    g0, g1 = twist_family(2, 1)
-    _, g10 = twist_family(2, 10)
-    rows, summary = quasi_metric_audit([g0, g1, g10])
-    assert len(rows) == 9
-    assert summary["max_self_distance"] <= math.log(2) + 1e-9
-    assert summary["max_asymmetry_ratio"] <= 2.0
-    assert all(r[2] > 0 for r in rows)
-
-
 def test_audits_invert_each_marking_once(monkeypatch):
-    """quasi_metric_audit on n samples, the pairs i == j among its n^2,
-    inverts n markings; twist_metric_rows inverts two per power."""
+    """twist_metric_rows inverts two markings per power."""
     from foldtrack import metric
     from foldtrack.audits import twist_metric_rows
     calls = []
     invert = metric._invert_reduced
     monkeypatch.setattr(metric, "_invert_reduced",
                         lambda words: calls.append(1) or invert(words))
-    samples = [*twist_family(2, 1), twist_family(2, 10)[1],
-               make_graph(1, [(0, 0)] * 2, basepoint=0, marking=[(2,), (1,)])]
-    rows, _ = quasi_metric_audit(samples)
-    assert len(calls) == 4
-    assert [r[:3] for r in rows] == [
-        (i, j, estimate_d(a, b).value)
-        for i, a in enumerate(samples) for j, b in enumerate(samples)]
-    calls.clear()
     rows = twist_metric_rows(ms=(1, 10, 100))
     assert len(calls) == 6
     for row in rows:
         g0, gm = twist_family(2, row["m"])
         assert (row["d_forward"], row["d_backward"]) == \
             (estimate_d(g0, gm).value, estimate_d(gm, g0).value)
-
-
-def test_audit_needs_three():
-    g0, g1 = twist_family(2, 1)
-    with pytest.raises(ValueError):
-        quasi_metric_audit([g0, g1])
 
 
 def test_rank_mismatch_rejected(rose2, rose3):
